@@ -76,6 +76,23 @@ emitMetricsLine(const std::string &line)
     }
 }
 
+/** The sweep timeline as a JSON array, one object per II considered. */
+std::string
+timelineJson(const map::SearchResult &r)
+{
+    std::ostringstream os;
+    os << "[";
+    for (size_t i = 0; i < r.timeline.size(); ++i) {
+        const map::IiStep &step = r.timeline[i];
+        os << (i ? "," : "") << "{\"ii\":" << step.ii
+           << ",\"ms\":" << step.seconds * 1e3
+           << ",\"boundNodes\":" << step.boundNodes << ",\"outcome\":\""
+           << map::iiOutcomeName(step.outcome) << "\"}";
+    }
+    os << "]";
+    return os.str();
+}
+
 std::string
 searchResultJson(const std::string &accel, const std::string &kernel,
                  const char *mapper, const map::SearchResult &r)
@@ -91,7 +108,8 @@ searchResultJson(const std::string &accel, const std::string &kernel,
        << ",\"verified\":" << (r.verified ? "true" : "false")
        << ",\"attempts\":" << r.attempts
        << ",\"budgetClass\":\"" << map::budgetClassName(r.budgetClass)
-       << "\",\"stats\":" << r.stats.toJson() << "}";
+       << "\",\"timeline\":" << timelineJson(r)
+       << ",\"stats\":" << r.stats.toJson() << "}";
     return os.str();
 }
 
@@ -109,6 +127,7 @@ portfolioMemberJson(const std::string &accel, const std::string &kernel,
        << ",\"ii\":" << r.ii << ",\"mii\":" << r.mii
        << ",\"seconds\":" << r.seconds << ",\"attempts\":" << r.attempts
        << ",\"cancelledAtIi\":" << r.cancelledAtIi
+       << ",\"timeline\":" << timelineJson(r)
        << ",\"stats\":" << r.stats.toJson() << "}";
     return os.str();
 }

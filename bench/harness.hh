@@ -12,7 +12,10 @@
  *  - LISA_THREADS=n     : default parallelism when --threads is absent
  *  - LISA_METRICS=1     : dump per-kernel and per-suite mapper metrics
  *                         (MapperStats merged over all streams) as
- *                         one-line JSON objects on stderr
+ *                         one-line JSON objects on stderr; kernel and
+ *                         portfolio-member lines also carry the sweep
+ *                         timeline (one {ii, ms, boundNodes, outcome}
+ *                         object per II considered)
  *  - LISA_METRICS_OUT=f : append the same JSON lines to file f (JSONL);
  *                         works with or without LISA_METRICS
  *

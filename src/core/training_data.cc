@@ -171,36 +171,56 @@ generateTrainingSet(arch::ArchContext &context,
         seeds.push_back(rng.raw()());
     }
 
-    std::vector<std::optional<gnn::LabeledSample>> refined_samples(
-        config.numDfgs);
+    std::vector<std::optional<RefinedLabels>> refined(config.numDfgs);
     ThreadPool::global().parallelFor(config.numDfgs, [&](size_t i) {
-        const dfg::Dfg &graph = graphs[i];
         Rng sub(seeds[i]);
-        auto refined = refineLabels(graph, context, config, sub);
-        if (!refined || !passesFilter(*refined, config))
-            return;
-        dfg::Analysis analysis(graph);
-        gnn::LabeledSample sample;
-        sample.attrs = gnn::computeAttributes(graph, analysis);
-        sample.scheduleOrder = refined->labels.scheduleOrder;
-        sample.association = refined->labels.association;
-        sample.spatialDist = refined->labels.spatialDist;
-        sample.temporalDist = refined->labels.temporalDist;
-        refined_samples[i] = std::move(sample);
+        refined[i] = refineLabels(graphs[i], context, config, sub);
     });
 
-    std::vector<gnn::LabeledSample> samples;
-    size_t kept = 0, dropped = 0;
-    for (auto &s : refined_samples) {
-        if (s) {
-            ++kept;
-            samples.push_back(std::move(*s));
-        } else {
-            ++dropped;
-        }
+    // Keep the graphs whose labels pass the quality filter. When none
+    // does (a small fabric under fast budgets may map none of them at
+    // its MII, or at all), keep the ones closest to their MII instead of
+    // training on nothing. A graph that never mapped keeps its initial
+    // labels at closeness 0.
+    auto closeness = [&](size_t i) {
+        return refined[i] ? static_cast<double>(refined[i]->mii) /
+                                refined[i]->bestIi
+                          : 0.0;
+    };
+    std::vector<bool> keep(config.numDfgs, false);
+    double best_closeness = 0.0;
+    for (size_t i = 0; i < config.numDfgs; ++i) {
+        keep[i] = refined[i] && passesFilter(*refined[i], config);
+        best_closeness = std::max(best_closeness, closeness(i));
     }
-    inform("training set for ", accel.name(), ": kept ", kept, ", dropped ",
-           dropped);
+    if (std::find(keep.begin(), keep.end(), true) == keep.end()) {
+        for (size_t i = 0; i < config.numDfgs; ++i)
+            keep[i] = closeness(i) == best_closeness;
+        warn("training set for ", accel.name(),
+             ": no graph passed the label filter; keeping the ",
+             std::count(keep.begin(), keep.end(), true),
+             " closest to their MII (closeness ", best_closeness,
+             best_closeness > 0.0 ? ")" : ", initial labels)");
+    }
+
+    std::vector<gnn::LabeledSample> samples;
+    for (size_t i = 0; i < config.numDfgs; ++i) {
+        if (!keep[i])
+            continue;
+        const dfg::Dfg &graph = graphs[i];
+        dfg::Analysis analysis(graph);
+        const Labels labels = refined[i] ? refined[i]->labels
+                                         : initialLabels(graph, analysis);
+        gnn::LabeledSample sample;
+        sample.attrs = gnn::computeAttributes(graph, analysis);
+        sample.scheduleOrder = labels.scheduleOrder;
+        sample.association = labels.association;
+        sample.spatialDist = labels.spatialDist;
+        sample.temporalDist = labels.temporalDist;
+        samples.push_back(std::move(sample));
+    }
+    inform("training set for ", accel.name(), ": kept ", samples.size(),
+           ", dropped ", config.numDfgs - samples.size());
     return samples;
 }
 

@@ -86,7 +86,10 @@ bool passesFilter(const RefinedLabels &refined,
 
 /**
  * Full pipeline: generate DFGs, refine labels, filter, and package
- * attribute/label samples for the GNN trainer. Every concurrent
+ * attribute/label samples for the GNN trainer. If no graph passes the
+ * filter, the ones with the best MII closeness are kept instead, with a
+ * warning; a graph that never mapped counts as closeness 0 and keeps
+ * its initial labels. Every concurrent
  * refinement shares @p context, so the whole set amortizes one MRRG and
  * one oracle-table build per II.
  */

@@ -12,6 +12,8 @@ MapperStats::merge(const MapperStats &o)
     movesRolledBack += o.movesRolledBack;
     restarts += o.restarts;
     incumbentCancels += o.incumbentCancels;
+    iisProvenInfeasible += o.iisProvenInfeasible;
+    boundNodes += o.boundNodes;
     initSeconds += o.initSeconds;
     moveSeconds += o.moveSeconds;
     mapSeconds += o.mapSeconds;
@@ -62,6 +64,8 @@ MapperStats::toJson() const
        << "\"movesRolledBack\":" << movesRolledBack << ","
        << "\"restarts\":" << restarts << ","
        << "\"incumbentCancels\":" << incumbentCancels << ","
+       << "\"iisProvenInfeasible\":" << iisProvenInfeasible << ","
+       << "\"boundNodes\":" << boundNodes << ","
        << "\"initSeconds\":" << initSeconds << ","
        << "\"moveSeconds\":" << moveSeconds << ","
        << "\"mapSeconds\":" << mapSeconds << "}";

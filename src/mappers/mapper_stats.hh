@@ -48,6 +48,10 @@ struct MapperStats
     /** II attempts abandoned because another portfolio member's success
      *  dominated them (cross-mapper incumbent cancellation). */
     uint64_t incumbentCancels = 0;
+    /** IIs the route-slot bound proved unmappable (no attempt made). */
+    uint64_t iisProvenInfeasible = 0;
+    /** Route-slot bound search nodes expanded (ii_bound.hh). */
+    uint64_t boundNodes = 0;
 
     /** @{ Per-phase wall-clock, seconds. initSeconds covers initial
      *  placement + first routing pass of each restart; moveSeconds covers

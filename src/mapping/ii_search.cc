@@ -47,6 +47,24 @@ budgetClassKey(const SearchOptions &options)
     return key;
 }
 
+const char *
+iiOutcomeName(IiOutcome outcome)
+{
+    switch (outcome) {
+    case IiOutcome::ProvenInfeasible:
+        return "proven-infeasible";
+    case IiOutcome::Success:
+        return "success";
+    case IiOutcome::BudgetExhausted:
+        return "budget-exhausted";
+    case IiOutcome::IncumbentCancelled:
+        return "incumbent-cancelled";
+    case IiOutcome::Stopped:
+        return "stopped";
+    }
+    return "stopped";
+}
+
 int
 resourceMii(const dfg::Dfg &dfg, const arch::Accelerator &accel)
 {
@@ -94,9 +112,26 @@ minimumIi(const dfg::Dfg &dfg, const dfg::Analysis &analysis,
     return std::max(res, analysis.recMii());
 }
 
+std::vector<IiBound>
+proveLowIis(const dfg::Dfg &dfg, const arch::Accelerator &accel, int mii)
+{
+    std::vector<IiBound> proofs;
+    if (!accel.temporalMapping() || mii < 1)
+        return proofs;
+    for (int ii = mii; ii <= accel.maxIi(); ++ii) {
+        proofs.push_back(boundIi(dfg, accel, ii));
+        if (proofs.back().verdict != IiVerdict::Infeasible)
+            break;
+    }
+    return proofs;
+}
+
+namespace {
+
+/** The sweep; @p proofs, when set, replaces running boundIi here. */
 SearchResult
-searchMinIi(Mapper &mapper, const dfg::Dfg &dfg, arch::ArchContext &context,
-            const SearchOptions &options)
+sweep(Mapper &mapper, const dfg::Dfg &dfg, arch::ArchContext &context,
+      const SearchOptions &options, const std::vector<IiBound> *proofs)
 {
     const arch::Accelerator &accel = context.accel();
     SearchResult result;
@@ -133,21 +168,26 @@ searchMinIi(Mapper &mapper, const dfg::Dfg &dfg, arch::ArchContext &context,
             return result;
         }
         result.mii = 1;
+        // The single attempt is the sweep's only timeline entry.
+        auto finish = [&](IiOutcome outcome) -> SearchResult {
+            result.seconds = total.seconds();
+            result.timeline.push_back(
+                IiStep{1, result.seconds, 0, outcome});
+            return std::move(result);
+        };
         // Honor external cancellation before launching the one attempt,
         // exactly like the temporal loop does at the top of each II.
         // relaxed: advisory cancellation latch, no data published
         // through it (see MapContext::cancelled's contract).
         if (options.stop &&
             options.stop->load(std::memory_order_relaxed)) {
-            result.seconds = total.seconds();
-            return result;
+            return finish(IiOutcome::Stopped);
         }
         if (options.incumbent &&
             options.incumbent->dominates(1, options.memberRank)) {
             result.cancelledAtIi = 1;
             ++result.stats.incumbentCancels;
-            result.seconds = total.seconds();
-            return result;
+            return finish(IiOutcome::IncumbentCancelled);
         }
         // The per-attempt budget is capped by the total budget (and can
         // never go negative): a sweep whose total budget is already
@@ -155,10 +195,8 @@ searchMinIi(Mapper &mapper, const dfg::Dfg &dfg, arch::ArchContext &context,
         const double budget =
             std::max(0.0, std::min(options.perIiBudget,
                                    options.totalBudget - total.seconds()));
-        if (budget <= 0.0) {
-            result.seconds = total.seconds();
-            return result;
-        }
+        if (budget <= 0.0)
+            return finish(IiOutcome::BudgetExhausted);
         auto mrrg = acquire_mrrg(1);
         MapContext ctx{dfg,
                        analysis,
@@ -188,11 +226,16 @@ searchMinIi(Mapper &mapper, const dfg::Dfg &dfg, arch::ArchContext &context,
             result.mapping = std::move(mapping);
             if (options.incumbent)
                 options.incumbent->offer(1, options.memberRank);
+            // Total compilation time includes the final verification,
+            // exactly like the temporal branch (which stamps after its
+            // sweep loop).
+            return finish(IiOutcome::Success);
         }
-        // Total compilation time includes the final verification, exactly
-        // like the temporal branch (which stamps after its sweep loop).
-        result.seconds = total.seconds();
-        return result;
+        // relaxed: advisory cancellation latch, as above.
+        return finish(options.stop &&
+                              options.stop->load(std::memory_order_relaxed)
+                          ? IiOutcome::Stopped
+                          : IiOutcome::BudgetExhausted);
     }
 
     if (res_mii < 0) {
@@ -202,11 +245,24 @@ searchMinIi(Mapper &mapper, const dfg::Dfg &dfg, arch::ArchContext &context,
     const int mii = std::max(res_mii, analysis.recMii());
     result.mii = mii;
 
+    // The route-slot bound runs from mii upward until it first fails to
+    // prove an II unmappable; a relaxed placement at one II is one at
+    // every higher II too, so later IIs are not worth asking about.
+    bool proving = true;
     for (int ii = mii; ii <= accel.maxIi(); ++ii) {
+        Stopwatch step_timer;
+        IiStep step;
+        step.ii = ii;
+        auto record = [&](IiOutcome outcome) {
+            step.outcome = outcome;
+            step.seconds = step_timer.seconds();
+            result.timeline.push_back(step);
+        };
         // relaxed: advisory cancellation latch (same contract as the
         // spatial branch above).
         if (options.stop &&
             options.stop->load(std::memory_order_relaxed)) {
+            record(IiOutcome::Stopped);
             break;
         }
         // An enclosing portfolio race tightens the sweep's upper bound:
@@ -216,6 +272,7 @@ searchMinIi(Mapper &mapper, const dfg::Dfg &dfg, arch::ArchContext &context,
             options.incumbent->dominates(ii, options.memberRank)) {
             result.cancelledAtIi = ii;
             ++result.stats.incumbentCancels;
+            record(IiOutcome::IncumbentCancelled);
             break;
         }
         // One wall-clock read decides both the cadence check and the
@@ -226,8 +283,29 @@ searchMinIi(Mapper &mapper, const dfg::Dfg &dfg, arch::ArchContext &context,
         // before its own first budget check.
         const double remaining = options.totalBudget - total.seconds();
         const double budget = std::min(options.perIiBudget, remaining);
-        if (budget <= 0.0)
+        if (budget <= 0.0) {
+            record(IiOutcome::BudgetExhausted);
             break; // no time remains: skip the attempt entirely
+        }
+        if (proving) {
+            IiBound bound;
+            if (proofs) {
+                const size_t at = static_cast<size_t>(ii - mii);
+                if (at < proofs->size())
+                    bound = (*proofs)[at];
+            } else {
+                bound = boundIi(dfg, accel, ii);
+                step.boundNodes = bound.nodes;
+                result.stats.boundNodes += bound.nodes;
+                if (bound.verdict == IiVerdict::Infeasible)
+                    ++result.stats.iisProvenInfeasible;
+            }
+            if (bound.verdict == IiVerdict::Infeasible) {
+                record(IiOutcome::ProvenInfeasible);
+                continue;
+            }
+            proving = false;
+        }
         auto mrrg = acquire_mrrg(ii);
         MapContext ctx{dfg,
                        analysis,
@@ -255,6 +333,7 @@ searchMinIi(Mapper &mapper, const dfg::Dfg &dfg, arch::ArchContext &context,
             result.mapping = std::move(mapping);
             if (options.incumbent)
                 options.incumbent->offer(ii, options.memberRank);
+            record(IiOutcome::Success);
             break;
         }
         // A failed attempt that the incumbent dominated mid-run was cut
@@ -263,12 +342,33 @@ searchMinIi(Mapper &mapper, const dfg::Dfg &dfg, arch::ArchContext &context,
             options.incumbent->dominates(ii, options.memberRank)) {
             result.cancelledAtIi = ii;
             ++result.stats.incumbentCancels;
+            record(IiOutcome::IncumbentCancelled);
             break;
         }
+        // relaxed: advisory cancellation latch, as above.
+        record(options.stop && options.stop->load(std::memory_order_relaxed)
+                   ? IiOutcome::Stopped
+                   : IiOutcome::BudgetExhausted);
     }
     result.seconds = total.seconds();
     result.attempts = attempts.load();
     return result;
+}
+
+} // namespace
+
+SearchResult
+searchMinIi(Mapper &mapper, const dfg::Dfg &dfg, arch::ArchContext &context,
+            const SearchOptions &options)
+{
+    return sweep(mapper, dfg, context, options, nullptr);
+}
+
+SearchResult
+searchMinIi(Mapper &mapper, const dfg::Dfg &dfg, arch::ArchContext &context,
+            const SearchOptions &options, const std::vector<IiBound> &proofs)
+{
+    return sweep(mapper, dfg, context, options, &proofs);
 }
 
 SearchResult

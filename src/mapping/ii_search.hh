@@ -6,7 +6,9 @@
  * MII), then sweeps II upward invoking a Mapper until it succeeds or the
  * configuration-depth limit / time budget is exhausted. This mirrors the
  * paper's compilation flow: "the compiler starts with target II equal to
- * MII and increments by one if it cannot map".
+ * MII and increments by one if it cannot map". Before each temporal II
+ * the sweep asks the route-slot bound (ii_bound.hh) whether that II can
+ * be mapped at all, and skips the IIs it proves unmappable.
  */
 
 #ifndef LISA_MAPPING_II_SEARCH_HH
@@ -15,8 +17,10 @@
 #include <atomic>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "mappers/mapper.hh"
+#include "mapping/ii_bound.hh"
 
 namespace lisa::map {
 
@@ -86,14 +90,43 @@ struct SearchOptions
     int memberRank = 0;
 };
 
+/** How the sweep left one II it considered. */
+enum class IiOutcome : uint8_t
+{
+    ProvenInfeasible,   ///< the route-slot bound ruled it out (no attempt)
+    Success,            ///< the attempt mapped
+    BudgetExhausted,    ///< the attempt, or the sweep's total budget, ran out
+    IncumbentCancelled, ///< a portfolio sibling's success dominated it
+    Stopped,            ///< the external stop flag was raised
+};
+
+/** Stable name: "proven-infeasible", "success", "budget-exhausted",
+ *  "incumbent-cancelled" or "stopped". */
+const char *iiOutcomeName(IiOutcome outcome);
+
+/** One entry of the sweep timeline. */
+struct IiStep
+{
+    int ii = 0;
+    /** Wall-clock spent at this II (bound plus mapper attempt), seconds. */
+    double seconds = 0.0;
+    /** Route-slot bound search nodes this sweep spent at this II. */
+    uint64_t boundNodes = 0;
+    IiOutcome outcome = IiOutcome::BudgetExhausted;
+};
+
 /** Outcome of one full compilation. */
 struct SearchResult
 {
     bool success = false;
     /** Achieved II (0 when mapping failed). */
     int ii = 0;
-    /** Lower bound the sweep started from. */
+    /** Classic max(ResMII, RecMII) lower bound the sweep started from.
+     *  IIs the route-slot bound proves unmappable do not raise it; they
+     *  show up in the timeline instead. */
     int mii = 0;
+    /** One entry per II the sweep considered, in sweep order. */
+    std::vector<IiStep> timeline;
     /** Total wall-clock compilation time, seconds. */
     double seconds = 0.0;
     /** Wall-clock cost of the final-answer invariant verification. */
@@ -128,11 +161,33 @@ int minimumIi(const dfg::Dfg &dfg, const dfg::Analysis &analysis,
  * them instead of re-deriving per call. Context reuse is counted into
  * SearchResult::stats (router.contextHits / contextMisses). Spatial-only
  * accelerators get a single attempt at II == 1 and report II 1 on
- * success.
+ * success. Temporal IIs from mii upward are first checked with boundIi
+ * until one is not proven infeasible; the proven ones never reach the
+ * mapper (stats.iisProvenInfeasible, stats.boundNodes).
  */
 SearchResult searchMinIi(Mapper &mapper, const dfg::Dfg &dfg,
                          arch::ArchContext &context,
                          const SearchOptions &options);
+
+/**
+ * Route-slot bounds (ii_bound.hh) for IIs @p mii, @p mii + 1, ... up to
+ * and including the first one not proven infeasible, each with its
+ * work. PortfolioSearch runs this once per race and hands the result to
+ * every member's sweep.
+ */
+std::vector<IiBound> proveLowIis(const dfg::Dfg &dfg,
+                                 const arch::Accelerator &accel, int mii);
+
+/**
+ * The sweep above, fed with bounds @p proofs from proveLowIis (starting
+ * at the sweep's mii) instead of running the bound itself. The proven
+ * IIs still appear in the timeline, with zero bound work of this sweep's
+ * own; the caller that ran the proofs accounts for their work.
+ */
+SearchResult searchMinIi(Mapper &mapper, const dfg::Dfg &dfg,
+                         arch::ArchContext &context,
+                         const SearchOptions &options,
+                         const std::vector<IiBound> &proofs);
 
 /**
  * Compatibility wrapper: runs the sweep through a transient, disk-less

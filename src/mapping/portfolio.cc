@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "arch/arch_context.hh"
 #include "support/stopwatch.hh"
 #include "support/thread_pool.hh"
 
@@ -48,6 +49,17 @@ PortfolioSearch::run(const dfg::Dfg &dfg)
     std::vector<SearchResult> results(n);
     Stopwatch race;
 
+    // The route-slot proofs depend only on the DFG and the fabric, so the
+    // race runs them once and every member skips the same proven IIs.
+    const arch::Accelerator &accel = context.accel();
+    const std::vector<IiBound> proofs =
+        proveLowIis(dfg, accel, minimumIi(dfg, dfg::Analysis(dfg), accel));
+    for (const IiBound &b : proofs) {
+        out.stats.boundNodes += b.nodes;
+        if (b.verdict == IiVerdict::Infeasible)
+            ++out.stats.iisProvenInfeasible;
+    }
+
     // Each member is one task: its whole II sweep, wired to the shared
     // incumbent. Rank doubles as the seed-remix stream so two members
     // registered with identical options still draw independent streams.
@@ -58,7 +70,8 @@ PortfolioSearch::run(const dfg::Dfg &dfg)
         opts.threads = 1; // parallelism lives across members, not inside
         opts.incumbent = &incumbent;
         opts.memberRank = rank;
-        results[i] = searchMinIi(*members[i].mapper, dfg, context, opts);
+        results[i] =
+            searchMinIi(*members[i].mapper, dfg, context, opts, proofs);
     });
 
     out.seconds = race.seconds();

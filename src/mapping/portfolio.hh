@@ -79,7 +79,9 @@ struct PortfolioResult
     int winnerRank = -1;
     /** Mapping attempts summed over every member. */
     long attempts = 0;
-    /** Observability counters merged over every member, in rank order. */
+    /** Observability counters merged over every member, in rank order,
+     *  plus the race's one run of the route-slot proofs
+     *  (iisProvenInfeasible, boundNodes). */
     MapperStats stats;
     /** Per-member attribution, in rank order. */
     std::vector<MemberOutcome> members;

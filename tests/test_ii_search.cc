@@ -5,7 +5,9 @@
 #include "arch/cgra.hh"
 #include "arch/systolic.hh"
 #include "dfg/builder.hh"
+#include "arch/arch_context.hh"
 #include "mapping/ii_search.hh"
+#include "mapping/portfolio.hh"
 #include "mappers/sa_mapper.hh"
 #include "workloads/registry.hh"
 
@@ -112,15 +114,18 @@ TEST(SearchMinIi, RespectsTotalBudget)
     EXPECT_LT(r.seconds, 2.0);
 }
 
-/** Probe mapper: records every attempt's time budget, never maps. */
+/** Probe mapper: records every attempt's time budget and II, never
+ *  maps. */
 struct RecordingMapper : Mapper
 {
     std::vector<double> budgets;
+    std::vector<int> iis;
     std::string name() const override { return "probe"; }
     std::optional<Mapping>
     tryMap(const MapContext &ctx) override
     {
         budgets.push_back(ctx.timeBudget);
+        iis.push_back(ctx.mrrg->ii());
         return std::nullopt;
     }
 };
@@ -287,6 +292,105 @@ TEST(SearchMinIi, TemporalIncumbentBoundsSweep)
     EXPECT_EQ(probe.budgets.size(), 1u);
     EXPECT_EQ(r.cancelledAtIi, 2);
     EXPECT_EQ(r.stats.incumbentCancels, 1u);
+}
+
+TEST(SearchMinIi, MapperNeverRunsAtAProvenIi)
+{
+    // atax has MII 1 on the 4x4 mesh, and the route-slot bound proves II 1
+    // unmappable: the sweep records the proof and starts the mapper at 2.
+    arch::CgraArch c(arch::baselineCgra(4, 4));
+    auto w = workloads::workloadByName("atax");
+    RecordingMapper probe;
+    SearchOptions opts;
+    opts.perIiBudget = 0.01;
+    opts.totalBudget = 0.05;
+    auto r = searchMinIi(probe, w.dfg, c, opts);
+    EXPECT_EQ(r.mii, 1); // the classic bound is unchanged
+    ASSERT_FALSE(probe.iis.empty());
+    EXPECT_EQ(probe.iis.front(), 2);
+    for (int ii : probe.iis)
+        EXPECT_NE(ii, 1);
+    EXPECT_EQ(r.stats.iisProvenInfeasible, 1u);
+    ASSERT_GE(r.timeline.size(), 2u);
+    EXPECT_EQ(r.timeline[0].ii, 1);
+    EXPECT_EQ(r.timeline[0].outcome, IiOutcome::ProvenInfeasible);
+    EXPECT_EQ(r.timeline[0].boundNodes, boundIi(w.dfg, c, 1).nodes);
+    EXPECT_EQ(r.timeline[1].ii, 2);
+    // II 2 has a relaxed placement; the bound then stops asking.
+    EXPECT_EQ(r.stats.boundNodes,
+              r.timeline[0].boundNodes + r.timeline[1].boundNodes);
+    for (size_t i = 2; i < r.timeline.size(); ++i)
+        EXPECT_EQ(r.timeline[i].boundNodes, 0u);
+    EXPECT_EQ(r.timeline.back().outcome, IiOutcome::BudgetExhausted);
+}
+
+TEST(SearchMinIi, TimelineRecordsEveryConsideredIi)
+{
+    arch::CgraArch c(arch::baselineCgra(4, 4));
+    auto w = workloads::workloadByName("doitgen");
+    SaMapper sa;
+    SearchOptions opts;
+    opts.perIiBudget = 1.0;
+    opts.totalBudget = 5.0;
+    auto r = searchMinIi(sa, w.dfg, c, opts);
+    ASSERT_TRUE(r.success);
+    ASSERT_FALSE(r.timeline.empty());
+    EXPECT_EQ(r.timeline.front().ii, r.mii);
+    EXPECT_EQ(r.timeline.back().ii, r.ii);
+    EXPECT_EQ(r.timeline.back().outcome, IiOutcome::Success);
+    for (size_t i = 0; i < r.timeline.size(); ++i) {
+        EXPECT_EQ(r.timeline[i].ii, r.mii + static_cast<int>(i));
+        EXPECT_GE(r.timeline[i].seconds, 0.0);
+    }
+    EXPECT_STREQ(iiOutcomeName(IiOutcome::ProvenInfeasible),
+                 "proven-infeasible");
+    EXPECT_STREQ(iiOutcomeName(IiOutcome::IncumbentCancelled),
+                 "incumbent-cancelled");
+}
+
+TEST(SearchMinIi, StopFlagIsRecordedInTimeline)
+{
+    arch::CgraArch c(arch::baselineCgra(4, 4));
+    auto w = workloads::workloadByName("doitgen");
+    RecordingMapper probe;
+    std::atomic<bool> stop{true};
+    SearchOptions opts;
+    opts.stop = &stop;
+    auto r = searchMinIi(probe, w.dfg, c, opts);
+    EXPECT_TRUE(probe.iis.empty());
+    ASSERT_EQ(r.timeline.size(), 1u);
+    EXPECT_EQ(r.timeline[0].outcome, IiOutcome::Stopped);
+}
+
+TEST(PortfolioSearch, RouteSlotProofRunsOncePerRace)
+{
+    arch::CgraArch c(arch::baselineCgra(4, 4));
+    arch::ArchContext context(c, std::string());
+    auto w = workloads::workloadByName("trmm");
+    PortfolioSearch race(context);
+    std::vector<RecordingMapper *> probes;
+    for (int i = 0; i < 3; ++i) {
+        auto probe = std::make_unique<RecordingMapper>();
+        probes.push_back(probe.get());
+        SearchOptions opts;
+        opts.perIiBudget = 0.01;
+        opts.totalBudget = 0.03;
+        race.addMember("probe" + std::to_string(i), std::move(probe), opts);
+    }
+    const PortfolioResult r = race.run(w.dfg);
+    const std::vector<IiBound> proofs = proveLowIis(w.dfg, c, 1);
+    ASSERT_EQ(proofs.size(), 2u);
+    EXPECT_EQ(r.stats.iisProvenInfeasible, 1u);
+    EXPECT_EQ(r.stats.boundNodes, proofs[0].nodes + proofs[1].nodes);
+    for (const MemberOutcome &m : r.members) {
+        EXPECT_EQ(m.result.stats.boundNodes, 0u);
+        ASSERT_FALSE(m.result.timeline.empty());
+        EXPECT_EQ(m.result.timeline[0].outcome,
+                  IiOutcome::ProvenInfeasible);
+    }
+    for (const RecordingMapper *probe : probes)
+        for (int ii : probe->iis)
+            EXPECT_NE(ii, 1);
 }
 
 TEST(BudgetClass, BucketsOnTotalBudgetOnly)

@@ -95,4 +95,23 @@ TEST(GenerateTrainingSet, SpatialArchRestrictsGenerator)
         EXPECT_LE(sample.scheduleOrder.size(), 25u);
 }
 
+TEST(GenerateTrainingSet, KeepsClosestGraphsWhenNonePassTheFilter)
+{
+    // No budget: no graph maps, so none passes the filter. Instead of an
+    // empty set (which the framework cannot train on), every graph ties
+    // at closeness 0 and is kept with its initial labels.
+    arch::SystolicArch s(5, 5);
+    TrainingDataConfig cfg = quickConfig();
+    cfg.numDfgs = 3;
+    cfg.totalBudget = 0.0;
+    Rng rng(7);
+    auto samples = generateTrainingSet(s, cfg, rng);
+    ASSERT_EQ(samples.size(), 3u);
+    for (const auto &sample : samples) {
+        EXPECT_EQ(sample.attrs.nodeAttrs.rows(),
+                  static_cast<int>(sample.scheduleOrder.size()));
+        EXPECT_EQ(sample.spatialDist.size(), sample.temporalDist.size());
+    }
+}
+
 } // namespace
