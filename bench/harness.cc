@@ -123,6 +123,7 @@ portfolioMemberJson(const std::string &accel, const std::string &kernel,
        << jsonEscape(accel) << "\",\"kernel\":\"" << jsonEscape(kernel)
        << "\",\"member\":\"" << jsonEscape(m.name)
        << "\",\"rank\":" << m.rank
+       << ",\"startSeconds\":" << m.startSeconds
        << ",\"success\":" << (r.success ? "true" : "false")
        << ",\"ii\":" << r.ii << ",\"mii\":" << r.mii
        << ",\"seconds\":" << r.seconds << ",\"attempts\":" << r.attempts
@@ -326,13 +327,13 @@ compareMappers(const arch::Accelerator &accel,
         }
 
         if (g_portfolio) {
-            // Race the full member set (EVO rides on the SA budgets).
-            // Members run with inner threads = 1 for reproducibility
-            // while the standalone runs above use `threads` seed
-            // streams, so scale the wall budgets by `threads` to give
-            // each member the same CPU-seconds per II attempt as its
-            // standalone counterpart — dominated members are cancelled
-            // by the incumbent, so the inflation rarely materializes.
+            // Race the full member set. Members run with inner
+            // threads = 1 for reproducibility while the standalone runs
+            // above use `threads` seed streams, so scale the wall
+            // budgets by `threads` to give each member the same
+            // CPU-seconds per II attempt as its standalone counterpart —
+            // dominated members are cancelled by the incumbent, so the
+            // inflation rarely materializes.
             const double cpu = static_cast<double>(threads);
             core::PortfolioConfig pc;
             pc.lisa.perIiBudget = options.lisaPerIi * cpu;
@@ -341,10 +342,7 @@ compareMappers(const arch::Accelerator &accel,
             pc.sa.totalBudget = options.saTotal * cpu;
             pc.ilp.perIiBudget = options.ilpPerIi * cpu;
             pc.ilp.totalBudget = options.ilpTotal * cpu;
-            pc.evo.perIiBudget = options.saPerIi * cpu;
-            pc.evo.totalBudget = options.saTotal * cpu;
-            pc.lisa.seed = pc.sa.seed = pc.ilp.seed = pc.evo.seed =
-                options.seed;
+            pc.lisa.seed = pc.sa.seed = pc.ilp.seed = options.seed;
             pc.runSa = options.runSa;
             pc.runIlp = options.runIlp;
             row.portfolio = fw.compilePortfolio(w.dfg, pc);

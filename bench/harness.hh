@@ -24,7 +24,7 @@
  *                  the process-wide worker pool used by training-data
  *                  generation. Seed-splitting keeps a given
  *                  (seed, threads) pair reproducible.
- *  - --portfolio : additionally race LISA / SA / ILP* / EVO per kernel
+ *  - --portfolio : additionally race LISA / SA / ILP* per kernel
  *                  with a shared best-II incumbent (PortfolioSearch) and
  *                  report the portfolio row; per-member attribution goes
  *                  to the metrics sinks as "portfolio_member" events.

@@ -6,7 +6,6 @@
 
 #include "arch/arch_context.hh"
 #include "mapping/routability_filter.hh"
-#include "mappers/evo_mapper.hh"
 #include "mappers/exact_mapper.hh"
 #include "mappers/sa_mapper.hh"
 #include "nn/serialize.hh"
@@ -203,9 +202,6 @@ LisaFramework::compilePortfolio(const dfg::Dfg &dfg,
     if (config.runIlp)
         race.addMember("ILP*", std::make_unique<map::ExactMapper>(),
                        config.ilp);
-    if (config.runEvo)
-        race.addMember("EVO", std::make_unique<map::EvoMapper>(),
-                       config.evo);
     return race.run(dfg);
 }
 

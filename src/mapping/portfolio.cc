@@ -47,6 +47,7 @@ PortfolioSearch::run(const dfg::Dfg &dfg)
     IiIncumbent incumbent;
     const size_t n = members.size();
     std::vector<SearchResult> results(n);
+    std::vector<double> starts(n, 0.0);
     Stopwatch race;
 
     // The route-slot proofs depend only on the DFG and the fabric, so the
@@ -64,6 +65,7 @@ PortfolioSearch::run(const dfg::Dfg &dfg)
     // incumbent. Rank doubles as the seed-remix stream so two members
     // registered with identical options still draw independent streams.
     ThreadPool::global().parallelFor(n, [&](size_t i) {
+        starts[i] = race.seconds();
         const int rank = static_cast<int>(i);
         SearchOptions opts = members[i].options;
         opts.seed = memberSeed(opts.seed, rank);
@@ -105,7 +107,7 @@ PortfolioSearch::run(const dfg::Dfg &dfg)
     out.members.reserve(n);
     for (size_t i = 0; i < n; ++i) {
         out.members.push_back(MemberOutcome{members[i].name,
-                                            static_cast<int>(i),
+                                            static_cast<int>(i), starts[i],
                                             std::move(results[i])});
     }
     return out;

@@ -53,10 +53,15 @@ namespace lisa::map {
 /** One member's full outcome within a race. */
 struct MemberOutcome
 {
-    /** Display name ("LISA", "SA", "ILP*", "EVO", ...). */
+    /** Display name ("LISA", "SA", "ILP*", ...). */
     std::string name;
     /** Tie-break priority: the member's index in registration order. */
     int rank = 0;
+    /** Seconds from race start (the clock PortfolioResult::seconds
+     *  reads) until this member's sweep began. Near zero while the pool
+     *  has a thread per member; with fewer threads than members a
+     *  member queues until a sibling's whole sweep has finished. */
+    double startSeconds = 0.0;
     /** The member's own sweep result. For the winning member the mapping
      *  has been moved out into PortfolioResult::mapping; everything else
      *  (ii, seconds, attempts, cancelledAtIi, stats) is intact. */

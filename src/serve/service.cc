@@ -6,7 +6,6 @@
 
 #include "arch/arch_context.hh"
 #include "dfg/serialize.hh"
-#include "mappers/evo_mapper.hh"
 #include "mappers/exact_mapper.hh"
 #include "mappers/sa_mapper.hh"
 #include "support/logging.hh"
@@ -35,9 +34,10 @@ ServeStats::toJson() const
 
 namespace {
 
-/** Production search backend: the full cross-mapper race, minus LISA —
- *  the daemon serves without a trained GNN on disk; adding the guided
- *  member is a config concern once models ship with deployments. */
+/** Production search backend: SA + ILP*, the two baselines that win
+ *  serve races. LISA is absent because the daemon serves without a
+ *  trained GNN on disk; adding the guided member is a config concern
+ *  once models ship with deployments. */
 map::PortfolioResult
 portfolioSearch(const dfg::Dfg &dfg, arch::ArchContext &context,
                 const map::SearchOptions &options)
@@ -45,7 +45,6 @@ portfolioSearch(const dfg::Dfg &dfg, arch::ArchContext &context,
     map::PortfolioSearch race(context);
     race.addMember("SA", std::make_unique<map::SaMapper>(), options);
     race.addMember("ILP*", std::make_unique<map::ExactMapper>(), options);
-    race.addMember("EVO", std::make_unique<map::EvoMapper>(), options);
     return race.run(dfg);
 }
 

@@ -20,12 +20,13 @@
  *            (verify-on-hit: no bytes are served that did not just pass
  *            the independent verifier).
  *      miss: coalesce — the first requester of a key becomes the leader
- *            and runs one PortfolioSearch on the *canonical* DFG (so the
- *            stored artifact serves all permutation variants); N-1
- *            concurrent identical requesters wait on the leader's result
- *            instead of searching. Leaders pass admission control first:
- *            at most maxInflight searches run at once, excess leaders
- *            queue. Successful results are inserted and persisted.
+ *            and runs one SA + ILP* PortfolioSearch on the *canonical*
+ *            DFG (so the stored artifact serves all permutation
+ *            variants); N-1 concurrent identical requesters wait on the
+ *            leader's result instead of searching. Leaders pass
+ *            admission control first: at most maxInflight searches run
+ *            at once, excess leaders queue. Successful results are
+ *            inserted and persisted.
  *
  * Determinism and seeds: the cache key is (canonical DFG, fabric
  * fingerprint, budget class) — deliberately *not* the request seed —
@@ -93,7 +94,7 @@ class MappingService
 {
   public:
     /** Injectable search backend (tests swap in gated fakes to prove
-     *  coalescing; production uses the built-in SA + ILP-star + EVO
+     *  coalescing; production uses the built-in SA + ILP-star
      *  portfolio). */
     using SearchFn = std::function<map::PortfolioResult(
         const dfg::Dfg &, arch::ArchContext &,

@@ -2,7 +2,7 @@
  * @file
  * Tests for the learned routability filter: model round-trip and the
  * fingerprint stale-model guard, the off-vs-strict bit-identity
- * property across SA / LISA / EVO, the tier-0 exactness of `on` mode,
+ * property across SA and LISA, the tier-0 exactness of `on` mode,
  * counter flow, and the --collect-routability sample sink.
  */
 
@@ -21,7 +21,6 @@
 #include "dfg/builder.hh"
 #include "mapping/ii_search.hh"
 #include "mapping/routability_filter.hh"
-#include "mappers/evo_mapper.hh"
 #include "mappers/exact_mapper.hh"
 #include "mappers/sa_mapper.hh"
 #include "nn/module.hh"
@@ -202,10 +201,6 @@ TEST(RoutabilityFilter, StrictModeBitIdenticalToOffAcrossMappers)
         {
             core::LisaMapper lisa(labels);
             text += searchText(lisa, w.dfg, ctx, threads, nullptr);
-        }
-        {
-            map::EvoMapper evo;
-            text += searchText(evo, w.dfg, ctx, 1, nullptr);
         }
         return text;
     };

@@ -1,10 +1,11 @@
 /**
  * @file
  * Serve-stack tests: cache store + LSRV persistence, MappingService
- * request flow (miss -> verified hit, permutation variants, verify-on-hit
- * eviction, restart warm-start), the coalescing guarantee (N identical
- * concurrent misses -> exactly one search), and the ServeServer protocol
- * dispatch (socket-free via handleLine plus one real socket round trip).
+ * request flow (miss -> verified hit, permutation variants, the
+ * production SA + ILP* race's winners, verify-on-hit eviction, restart
+ * warm-start), the coalescing guarantee (N identical concurrent misses
+ * -> exactly one search), and the ServeServer protocol dispatch
+ * (socket-free via handleLine plus one real socket round trip).
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +25,7 @@
 
 #include "arch/arch_context.hh"
 #include "dfg/canonical.hh"
+#include "dfg/generator.hh"
 #include "dfg/serialize.hh"
 #include "mappers/sa_mapper.hh"
 #include "mapping/portfolio.hh"
@@ -31,7 +33,9 @@
 #include "serve/server.hh"
 #include "serve/service.hh"
 #include "support/json.hh"
+#include "support/random.hh"
 #include "verify/mapping_io.hh"
+#include "workloads/registry.hh"
 
 namespace {
 
@@ -263,6 +267,37 @@ TEST(MappingService, RejectsMalformedRequests)
     const MapOutcome o2 = service.map(bad_accel);
     EXPECT_FALSE(o2.ok);
     EXPECT_NE(o2.error.find("accel"), std::string::npos);
+}
+
+TEST(MappingService, ProductionRaceWinnerIsSaOrIlpStar)
+{
+    // The built-in backend races exactly SA and ILP*, so every
+    // successful miss must be attributed to one of them: doitgen plus a
+    // few fixed-seed random graphs in the fast budget class.
+    ServeConfig cfg;
+    cfg.cacheFile.clear();
+    MappingService service(cfg);
+
+    std::vector<std::string> graphs = {
+        dfg::toText(workloads::workloadByName("doitgen").dfg)};
+    Rng rng(17);
+    for (int nodes : {10, 14, 18}) {
+        dfg::GeneratorConfig gen;
+        gen.minNodes = gen.maxNodes = nodes;
+        graphs.push_back(dfg::toText(dfg::generateRandomDfg(gen, rng)));
+    }
+
+    int mapped = 0;
+    for (const std::string &text : graphs) {
+        const MapOutcome out = service.map(kernelRequest(text.c_str()));
+        if (!out.ok)
+            continue;
+        ++mapped;
+        EXPECT_FALSE(out.cacheHit);
+        EXPECT_TRUE(out.winner == "SA" || out.winner == "ILP*")
+            << out.winner;
+    }
+    EXPECT_GT(mapped, 0);
 }
 
 TEST(MappingService, VerifyOnHitEvictsCorruptEntriesAndResearches)
