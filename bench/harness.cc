@@ -9,11 +9,11 @@
 
 #include "arch/arch_context.hh"
 #include "core/lisa_mapper.hh"
-#include "mapping/routability_filter.hh"
 #include "mappers/exact_mapper.hh"
 #include "mappers/sa_mapper.hh"
 #include "power/power_model.hh"
 #include "support/json.hh"
+#include "support/logging.hh"
 #include "support/stopwatch.hh"
 #include "support/table.hh"
 #include "support/thread_pool.hh"
@@ -166,20 +166,15 @@ initBench(int argc, char **argv)
             threads = std::max(1, std::atoi(arg.c_str() + 10));
         } else if (arg == "--portfolio") {
             g_portfolio = true;
-        } else if (arg == "--collect-routability") {
-            map::setRoutabilityCollection("routability_samples.txt");
-            map::setRoutabilityMode(map::RoutabilityMode::Collect);
-        } else if (arg.rfind("--collect-routability=", 0) == 0) {
-            map::setRoutabilityCollection(
-                arg.substr(std::string("--collect-routability=").size()));
-            map::setRoutabilityMode(map::RoutabilityMode::Collect);
         } else {
             std::cerr << "[bench] ignoring unknown argument '" << arg
-                      << "' (supported: --threads N, --portfolio, "
-                         "--collect-routability[=FILE])\n";
+                      << "' (supported: --threads N, --portfolio)\n";
         }
     }
     ThreadPool::setGlobalThreads(threads);
+    // Library status lines ([info] on stderr) are few and name where the
+    // GNN label models came from, so figure runs always show them.
+    setVerbose(true);
     std::cerr << "[bench] threads=" << threads
               << (g_portfolio ? " portfolio=on" : "") << "\n";
 }
@@ -245,8 +240,6 @@ frameworkFor(const arch::Accelerator &accel)
         cfg.training.epochs = fastMode() ? 40 : 120;
         cfg.cacheDir = "lisa_models";
         auto fw = std::make_unique<core::LisaFramework>(accel, cfg);
-        std::cerr << "[bench] preparing LISA models for " << accel.name()
-                  << " (cached in ./lisa_models)\n";
         fw->prepare();
         it = registry.emplace(accel.name(), std::move(fw)).first;
     }
@@ -491,16 +484,15 @@ printRoutingTable(const std::string &title,
                   const std::vector<CompareResult> &results)
 {
     std::cout << "\n== " << title
-              << " (route calls, failure rate, filter activity) ==\n";
-    Table t({"kernel", "calls", "fail%", "filtered", "saved"});
+              << " (route calls, failure rate, structural rejects) ==\n";
+    Table t({"kernel", "calls", "fail%", "rejects"});
     for (const auto &r : results) {
         map::RouterCounters c;
         for (const map::SearchResult *s : {&r.ilp, &r.sa, &r.lisa})
             c.merge(s->stats.router);
         t.addRow({r.kernel, std::to_string(c.routeEdgeCalls),
                   fmtDouble(c.failureRate() * 100.0, 1),
-                  std::to_string(c.filterRejects),
-                  std::to_string(c.filterRejects - c.filterShadowRoutes)});
+                  std::to_string(c.filterRejects)});
     }
     t.print(std::cout);
 }

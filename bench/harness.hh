@@ -126,8 +126,8 @@ void printPowerTable(const std::string &title,
 
 /**
  * Routing observability per kernel (counters merged over ILP*, SA and
- * LISA): route calls, failure rate, routability-filter rejects and the
- * router invocations those rejects saved.
+ * LISA): route calls, failure rate, and the calls the router failed on
+ * a structural early exit (RouterCounters::filterRejects).
  */
 void printRoutingTable(const std::string &title,
                        const std::vector<CompareResult> &results);

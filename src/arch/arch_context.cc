@@ -457,32 +457,6 @@ ArchContext::seedFromWarm(OracleStore &store)
     }
 }
 
-std::shared_ptr<const map::RoutabilityModel>
-ArchContext::routabilityModel() const
-{
-    const support::LockGuard lock(mu);
-    return routability;
-}
-
-void
-ArchContext::setRoutabilityModel(
-    std::shared_ptr<const map::RoutabilityModel> model)
-{
-    const support::LockGuard lock(mu);
-    routability = std::move(model);
-    routabilityAttempted = true;
-}
-
-bool
-ArchContext::claimRoutabilityLoad()
-{
-    const support::LockGuard lock(mu);
-    if (routabilityAttempted)
-        return false;
-    routabilityAttempted = true;
-    return true;
-}
-
 std::string
 ArchContext::envCacheDir()
 {

@@ -66,10 +66,6 @@
 #include "arch/mrrg.hh"
 #include "support/thread_annotations.hh"
 
-namespace lisa::map {
-struct RoutabilityModel;
-}
-
 namespace lisa::arch {
 
 class ArchContext;
@@ -242,19 +238,10 @@ class ArchContext
     bool load(const std::string &path) LISA_EXCLUDES(mu);
     /** @} */
 
-    /** @{ Context-held routability admission model (see
-     *  mapping/routability_filter.hh): one immutable copy per fabric,
-     *  shared by every workspace that binds this context. The slot is
-     *  claim-once — the first claimRoutabilityLoad() returns true and
-     *  its caller performs the single disk-load attempt; setting a model
-     *  directly (tests, trainers) also consumes the claim. */
-    std::shared_ptr<const map::RoutabilityModel> routabilityModel() const
-        LISA_EXCLUDES(mu);
-    void
-    setRoutabilityModel(std::shared_ptr<const map::RoutabilityModel> model)
-        LISA_EXCLUDES(mu);
-    bool claimRoutabilityLoad() LISA_EXCLUDES(mu);
-    /** @} */
+    /** Always false: no fabric carries a routability model. Kept only
+     *  because lisabench's compile workload reads it for its provenance
+     *  line. */
+    bool routabilityModel() const { return false; }
 
     /** Path of this accelerator's cache file ("" without a cache dir). */
     std::string cacheFilePath() const;
@@ -307,10 +294,6 @@ class ArchContext
         LISA_GUARDED_BY(mu);
     /** Loaded warm-start payload, not yet consumed. */
     std::vector<WarmBinding> warm LISA_GUARDED_BY(mu);
-    /** Routability admission model slot; see above. */
-    std::shared_ptr<const map::RoutabilityModel> routability
-        LISA_GUARDED_BY(mu);
-    bool routabilityAttempted LISA_GUARDED_BY(mu) = false;
 };
 
 } // namespace lisa::arch

@@ -5,7 +5,6 @@
 #include <fstream>
 
 #include "arch/arch_context.hh"
-#include "mapping/routability_filter.hh"
 #include "mappers/exact_mapper.hh"
 #include "mappers/sa_mapper.hh"
 #include "nn/serialize.hh"
@@ -104,18 +103,23 @@ LisaFramework::prepare()
 {
     if (ready)
         return;
-    // Best-effort load of the routability admission model shipped beside
-    // the label models (claim-once per context; a missing, corrupt or
-    // foreign-fingerprint file just leaves the filter disabled).
-    if (!cfg.cacheDir.empty())
-        map::loadRoutabilityModel(*ctx, cfg.cacheDir);
+    // One provenance line: whether the label models were loaded or are
+    // being retrained, and from/into which directory (absolute, so a run
+    // from an unexpected cwd is visible).
+    std::string dir = "(no cache dir)";
+    if (!cfg.cacheDir.empty()) {
+        std::error_code ec;
+        const auto abs = std::filesystem::absolute(cfg.cacheDir, ec);
+        dir = ec ? cfg.cacheDir : abs.string();
+    }
     if (loadFromCache()) {
-        inform("loaded cached models for ", arch->name());
+        inform("label models for ", arch->name(), ": loaded from ", dir);
         ready = true;
         return;
     }
 
-    inform("generating training data for ", arch->name());
+    inform("label models for ", arch->name(), ": none usable in ", dir,
+           "; generating training data and retraining");
     auto samples = generateTrainingSet(*ctx, cfg.trainingData, rng);
     if (samples.empty())
         fatal("no training samples survived the filter for ", arch->name());

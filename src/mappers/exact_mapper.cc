@@ -1,11 +1,9 @@
 #include "mappers/exact_mapper.hh"
 
 #include <algorithm>
-#include <atomic>
 
 #include "mapping/router_workspace.hh"
 #include "mappers/placement_util.hh"
-#include "support/logging.hh"
 #include "support/stopwatch.hh"
 #include "verify/verify.hh"
 
@@ -139,37 +137,7 @@ ExactMapper::tryMap(const MapContext &ctx)
     Dfs dfs{ctx, mapping, cfg, ctx.analysis.topoOrder(), Stopwatch{},
             false, {}};
     dfs.ws.archContext = ctx.archCtx;
-    // Learned vetoes speed the enumeration up but are fallible, and this
-    // mapper's failure verdicts feed II selection. Fail-closed protocol:
-    // take learned rejects on the first pass, and if the enumeration
-    // completes empty-handed while any fired, rerun it router-exact
-    // (tier-0 rejects only, provably router-identical) on the remaining
-    // time budget — a completed "unmappable" verdict is then always
-    // backed by an exact enumeration, never by a prediction. A timeout
-    // failure is inconclusive with or without the filter; warn once so a
-    // false-rejecting user-trained model is not silently absorbed.
-    dfs.ws.filter.bind(ctx.archCtx);
-    if (!cfg.learnedPruning)
-        dfs.ws.filter.restrictToProvable();
-    bool found = dfs.place(0) && mapping.valid();
-    if (!found && dfs.ws.filter.learnedRejects() > 0) {
-        if (!dfs.timedOut && !ctx.cancelled()) {
-            // A failed pass is not always an empty mapping: place() can
-            // succeed with a residual invalid() state (e.g. overuse the
-            // FU-slot check does not cover), so start the rerun from a
-            // fresh mapping rather than on top of the wreckage.
-            mapping = Mapping(ctx.dfg, ctx.mrrg);
-            dfs.ws.filter.restrictToProvable();
-            found = dfs.place(0) && mapping.valid();
-        } else if (dfs.timedOut) {
-            static std::atomic<bool> warned{false};
-            if (!warned.exchange(true))
-                warn("ILP*: a time-limited exact search failed after "
-                     "learned routability vetoes; if achieved IIs look "
-                     "worse than expected, audit the model with "
-                     "LISA_ROUTE_FILTER=strict (or disable with off)");
-        }
-    }
+    const bool found = dfs.place(0) && mapping.valid();
     ctx.countAttempts(dfs.placements);
     if (ctx.stats) {
         MapperStats stats;

@@ -22,24 +22,6 @@ MapperStats::merge(const MapperStats &o)
 std::string
 MapperStats::toJson() const
 {
-    // Derived filter quality estimates from the shadow-routed sample:
-    // precision = fraction of audited rejects the router agreed with;
-    // recall = estimated share of all would-be failures the filter
-    // caught (true rejects never reach the router, so the estimate
-    // scales the reject count by the sampled precision).
-    const double shadow = static_cast<double>(router.filterShadowRoutes);
-    const double precision =
-        shadow > 0.0
-            ? 1.0 - static_cast<double>(router.filterFalseRejects) / shadow
-            : 1.0;
-    const double caught =
-        static_cast<double>(router.filterRejects) * precision;
-    const double failures =
-        caught + static_cast<double>(router.routeFailures);
-    const double recall = failures > 0.0 ? caught / failures : 0.0;
-    const uint64_t saved =
-        router.filterRejects - router.filterShadowRoutes;
-
     std::ostringstream os;
     os << "{"
        << "\"routeEdgeCalls\":" << router.routeEdgeCalls << ","
@@ -52,13 +34,7 @@ MapperStats::toJson() const
        << "\"oracleHits\":" << router.oracleHits << ","
        << "\"contextHits\":" << router.contextHits << ","
        << "\"contextMisses\":" << router.contextMisses << ","
-       << "\"filterQueries\":" << router.filterQueries << ","
        << "\"filterRejects\":" << router.filterRejects << ","
-       << "\"filterShadowRoutes\":" << router.filterShadowRoutes << ","
-       << "\"filterFalseRejects\":" << router.filterFalseRejects << ","
-       << "\"filterSavedCalls\":" << saved << ","
-       << "\"filterRejectPrecision\":" << precision << ","
-       << "\"filterFailRecall\":" << recall << ","
        << "\"routeSeconds\":" << router.routeSeconds << ","
        << "\"movesCommitted\":" << movesCommitted << ","
        << "\"movesRolledBack\":" << movesRolledBack << ","

@@ -1,7 +1,6 @@
 #include "mapping/router.hh"
 
 #include <algorithm>
-#include <array>
 #include <limits>
 
 #include "mapping/router_workspace.hh"
@@ -264,10 +263,13 @@ routeSpatialReference(const Mapping &mapping, dfg::EdgeId e,
  * Three additions over the reference kernel, none of which can change the
  * result (tests/test_router_equiv.cc asserts path identity):
  *
- *  - Early structural fail: if no seed can reach the destination's feeder
- *    set within its remaining step budget (reverse-BFS min-hop table),
- *    the edge is unroutable at this length — return before the DP runs.
- *    Most failing route calls die here.
+ *  - Producer-FU prune: every holder of the value is downstream of the
+ *    producer FU, so when the FU's min-hop distance to the destination's
+ *    feeder set (reverse-BFS table) exceeds the required length, no
+ *    fanout seed can reach it in budget either — fail before collecting
+ *    seeds. Conversely the producer FU is itself a seed, so when it is
+ *    in range the DP has a feasible start. Most failing route calls die
+ *    here; they count, with the negative-length exit, as filterRejects.
  *  - DP cell prune: a cell whose min-hop distance exceeds the remaining
  *    steps cannot lie on any feasible path. Any move predecessor of a
  *    surviving cell survives too (minHops is 1-Lipschitz along move
@@ -286,35 +288,25 @@ routeTemporal(const Mapping &mapping, dfg::EdgeId e, const RouterCosts &costs,
     const Placement &src = mapping.placement(edge.src);
     const Placement &dst = mapping.placement(edge.dst);
     const int len = mapping.requiredLength(e);
-    if (len < 0)
+    if (len < 0) {
+        ++ws.counters.filterRejects;
         return nullptr;
+    }
 
     const int per_layer = mrrg.perLayerCount();
     const int ii = mrrg.ii();
 
     ws.oracle.bind(mapping.mrrgPtr(), costs, ws.archContext, ws.counters);
     const auto hops = ws.oracle.minHopsTo(dst.pe, dst.time, ws.counters);
+    const int32_t producer_hops =
+        hops[static_cast<size_t>(mrrg.fuId(src.pe, src.time))];
+    if (producer_hops < 0 || producer_hops > len) {
+        ++ws.counters.filterRejects;
+        return nullptr;
+    }
     const auto base = ws.oracle.baseCosts();
 
     collectSeeds(mapping, edge.src, ws.seeds);
-
-    bool feasible = false;
-    for (const RouteSeed &seed : ws.seeds) {
-        if (seed.step > len)
-            continue;
-        if (mrrg.layerOfResource(seed.res) != (src.time + seed.step) % ii)
-            continue;
-        const int32_t h = hops[static_cast<size_t>(seed.res)];
-        if (h >= 0 && h <= len - seed.step) {
-            feasible = true;
-            break;
-        }
-    }
-    if (!feasible) {
-        ++ws.counters.heuristicPrunes;
-        return nullptr;
-    }
-
     ws.beginTemporal(len + 1, per_layer);
 
     for (const RouteSeed &seed : ws.seeds) {
@@ -495,16 +487,18 @@ routeSpatial(const Mapping &mapping, dfg::EdgeId e, const RouterCosts &costs,
     return &result;
 }
 
-/**
- * The metered search-kernel dispatch of routeEdge: stopwatch, call and
- * failure counting, growth accounting, mode selection. Kept separate so
- * the routability filter can shadow-route a rejected edge through the
- * identical accounting path.
- */
+} // namespace
+
 const RouteResult *
-dispatchRoute(const Mapping &mapping, dfg::EdgeId e, const dfg::Edge &edge,
-              const RouterCosts &costs, RouterWorkspace &ws)
+routeEdge(const Mapping &mapping, dfg::EdgeId e, const RouterCosts &costs,
+          RouterWorkspace &ws)
 {
+    const dfg::Edge &edge = mapping.dfg().edge(e);
+    if (!mapping.isPlaced(edge.src) || !mapping.isPlaced(edge.dst))
+        panic("routeEdge: edge ", e, " has unplaced endpoints");
+    if (mapping.isRouted(e))
+        panic("routeEdge: edge ", e, " already routed");
+
     Stopwatch timer;
     ++ws.counters.routeEdgeCalls;
     const size_t seed_cap = ws.seeds.capacity();
@@ -536,64 +530,6 @@ dispatchRoute(const Mapping &mapping, dfg::EdgeId e, const dfg::Edge &edge,
     if (ws.result.path.capacity() != path_cap)
         ws.noteGrowth();
     ws.counters.routeSeconds += timer.seconds();
-    return out;
-}
-
-} // namespace
-
-const RouteResult *
-routeEdge(const Mapping &mapping, dfg::EdgeId e, const RouterCosts &costs,
-          RouterWorkspace &ws)
-{
-    const dfg::Edge &edge = mapping.dfg().edge(e);
-    if (!mapping.isPlaced(edge.src) || !mapping.isPlaced(edge.dst))
-        panic("routeEdge: edge ", e, " has unplaced endpoints");
-    if (mapping.isRouted(e))
-        panic("routeEdge: edge ", e, " already routed");
-
-    // Learned routability admission (temporal fabrics, optimized kernels
-    // only): a predicted-unroutable candidate skips the search entirely
-    // in `on` mode, is audited in `strict` mode (the router's answer
-    // wins, so behavior is bit-identical to `off`), and is only observed
-    // in `collect` mode.
-    std::array<double, RoutabilityModel::kFeatureCount> feats;
-    RoutabilityVerdict verdict;
-    if (!ws.referenceMode && ws.filter.enabled() &&
-        mapping.mrrg().accel().temporalMapping()) {
-        ws.oracle.bind(mapping.mrrgPtr(), costs, ws.archContext,
-                       ws.counters);
-        verdict = ws.filter.assess(mapping, e, costs.allowOveruse,
-                                   ws.oracle, ws.counters, feats.data());
-        if (verdict.consulted)
-            ++ws.counters.filterQueries;
-        if (verdict.reject) {
-            ++ws.counters.filterRejects;
-            if (ws.filter.mode() == RoutabilityMode::Strict) {
-                // Audit every predicted reject; the real route decides.
-                ++ws.counters.filterShadowRoutes;
-                const RouteResult *out =
-                    dispatchRoute(mapping, e, edge, costs, ws);
-                if (out != nullptr)
-                    ++ws.counters.filterFalseRejects;
-                return out;
-            }
-            // `on` mode: shadow-route a deterministic sample of the
-            // learned rejects to estimate the false-reject rate. The
-            // verdict stands either way — sampling spends time, never
-            // changes results.
-            if (!verdict.provable && ws.filter.shadowDue()) {
-                ++ws.counters.filterShadowRoutes;
-                if (dispatchRoute(mapping, e, edge, costs, ws) != nullptr)
-                    ++ws.counters.filterFalseRejects;
-            }
-            return nullptr;
-        }
-    }
-
-    const RouteResult *out = dispatchRoute(mapping, e, edge, costs, ws);
-    if (verdict.consulted &&
-        ws.filter.mode() == RoutabilityMode::Collect)
-        ws.filter.logSample(feats.data(), out != nullptr);
     return out;
 }
 

@@ -32,7 +32,6 @@
 
 #include "dfg/dfg.hh"
 #include "mapping/distance_oracle.hh"
-#include "mapping/routability_filter.hh"
 #include "mapping/router.hh"
 
 namespace lisa::map {
@@ -44,9 +43,8 @@ namespace lisa::map {
  */
 struct RouterCounters
 {
-    /** routeEdge invocations (either mode, including trivial self-loops).
-     *  Calls rejected by the routability filter without invoking a search
-     *  kernel are *not* counted here — they count filterRejects. */
+    /** routeEdge invocations (either mode, including trivial self-loops
+     *  and calls that fail a structural early exit). */
     uint64_t routeEdgeCalls = 0;
     /** routeEdge calls that found no route. */
     uint64_t routeFailures = 0;
@@ -55,9 +53,8 @@ struct RouterCounters
     uint64_t pqPops = 0;
     /** Cost-label improvements (Dijkstra relaxations + DP transitions). */
     uint64_t relaxations = 0;
-    /** Work avoided by the static-distance oracle: spatial pushes dropped
-     *  because the target cannot reach the goal, plus temporal searches
-     *  failed before the DP because no seed can reach it in budget. */
+    /** Work avoided by the static-distance oracle: spatial seeds and
+     *  pushes dropped because the target cannot reach the goal. */
     uint64_t heuristicPrunes = 0;
     /** Temporal DP cells skipped because the destination is out of reach
      *  within the remaining step budget. */
@@ -71,18 +68,13 @@ struct RouterCounters
     uint64_t contextHits = 0;
     /** Shared-context artifacts derived fresh (first consumer pays). */
     uint64_t contextMisses = 0;
-    /** Routability-filter admission queries (assess() consultations). */
-    uint64_t filterQueries = 0;
-    /** Queries predicted unroutable. In `on` mode these skip the router
-     *  entirely; in `strict` mode they are still routed for real. */
+    /** Temporal route calls the optimized kernel failed on a structural
+     *  early exit before collecting seeds: a negative required length,
+     *  or a producer FU whose min-hop distance to the destination's
+     *  feeders exceeds that length. Each also counts routeEdgeCalls and
+     *  routeFailures. lisabench's compile workload reports this counter
+     *  as router.filter_rejects, hence the name. */
     uint64_t filterRejects = 0;
-    /** Predicted rejects that were routed anyway to audit the prediction
-     *  (the deterministic 1-in-N sample in `on` mode; every reject in
-     *  `strict` mode). Shadow routes do count routeEdgeCalls. */
-    uint64_t filterShadowRoutes = 0;
-    /** Shadow-routed rejects the router in fact satisfied (false
-     *  rejects); filterShadowRoutes - filterFalseRejects succeeded. */
-    uint64_t filterFalseRejects = 0;
     /** Wall-clock seconds spent inside routeEdge. */
     double routeSeconds = 0.0;
 
@@ -109,10 +101,7 @@ struct RouterCounters
         oracleHits += o.oracleHits;
         contextHits += o.contextHits;
         contextMisses += o.contextMisses;
-        filterQueries += o.filterQueries;
         filterRejects += o.filterRejects;
-        filterShadowRoutes += o.filterShadowRoutes;
-        filterFalseRejects += o.filterFalseRejects;
         routeSeconds += o.routeSeconds;
     }
 
@@ -267,10 +256,6 @@ class RouterWorkspace
     /** Static-distance table views for goal-directed search (fetched
      *  lazily from the shared store, invalidated on MRRG/cost changes). */
     DistanceOracle oracle;
-
-    /** Learned routability admission front; inert until a mapper binds
-     *  it to an ArchContext holding a model (see routability_filter.hh). */
-    RoutabilityFilter filter;
 
     /** Shared arch-artifact cache to resolve oracle tables through; null
      *  = build a workspace-private store (historical behavior). Set by

@@ -4,11 +4,11 @@
  * macros and a thin annotated mutex wrapper.
  *
  * Every shared-state subsystem in the search stack (ArchContext and its
- * OracleStores, the thread pool, the routability filter's mode/model
- * state, the portfolio incumbent) declares *which* lock guards *what*
- * directly in the type, and Clang's -Wthread-safety analysis proves at
- * compile time that no guarded member is ever touched without its
- * capability held. PR 8's routabilityMode() lost-update race is exactly
+ * OracleStores, the thread pool, the portfolio incumbent) declares
+ * *which* lock guards *what* directly in the type, and Clang's
+ * -Wthread-safety analysis proves at compile time that no guarded member
+ * is ever touched without its capability held. A lazily-initialised
+ * global overwritten by its own first reader (a lost update) is exactly
  * the class of bug these contracts exist to make unrepresentable: the
  * invariants used to live in reviewers' heads and in whatever TSan
  * happened to exercise; now they live in the signatures.
@@ -33,11 +33,11 @@
  * vanish on non-capability compilers.
  *
  * What the analysis cannot see — lock-free atomics (IiIncumbent's packed
- * word, OracleStore's published-table pointers, the routability mode
- * cell) — is covered by the companion determinism lint
- * (tools/check_determinism.py): every memory_order_relaxed operation must
- * carry a `relaxed:` rationale comment stating why the weak ordering is
- * sound, and DESIGN.md section 13 holds the full capability map.
+ * word, OracleStore's published-table pointers) — is covered by the
+ * companion determinism lint (tools/check_determinism.py): every
+ * memory_order_relaxed operation must carry a `relaxed:` rationale
+ * comment stating why the weak ordering is sound, and DESIGN.md section
+ * 13 holds the full capability map.
  */
 
 #ifndef LISA_SUPPORT_THREAD_ANNOTATIONS_HH

@@ -117,12 +117,17 @@ TEST_P(RouterEquivalence, TemporalCostAndPathIdentical)
 
     // Smaller grid under strict no-overuse costs: congestion makes many
     // routes fail, exercising failure agreement and the structural prune.
+    // The optimized kernel's structural early exits (negative length,
+    // producer FU out of min-hop range) must fire here, in lock-step with
+    // the reference kernel's full search.
     arch::CgraArch tight(arch::baselineCgra(3, 3));
     auto mrrg = std::make_shared<const arch::Mrrg>(tight, 2);
     RouterCosts strict;
     strict.allowOveruse = false;
+    const uint64_t rejectsBefore = wsOpt.counters.filterRejects;
     expectOptimizedMatchesReference(mrrg, strict, GetParam() * 10 + 2, 4,
                                     wsRef, wsOpt);
+    EXPECT_GT(wsOpt.counters.filterRejects, rejectsBefore);
 }
 
 TEST_P(RouterEquivalence, SpatialCostIdentical)

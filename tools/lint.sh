@@ -18,8 +18,8 @@
 # fresh vector — is a hot-loop allocation and must be rewritten against
 # the workspace.
 #
-# Some hot-listed files also carry genuinely cold code: model loading in
-# routability_filter.cc, the per-race setup in portfolio.hh. Wrap those
+# Some hot-listed files also carry genuinely cold code, such as the
+# per-race setup in portfolio.hh. Wrap those
 # in `lint:cold-begin(reason)` / `lint:cold-end` marker comments and both
 # rules skip the region; unbalanced markers fail the lint. The markers
 # are deliberately loud in review — a region creeping into a hot loop
@@ -38,8 +38,6 @@ HOT_FILES=(
     src/mapping/router_workspace.hh
     src/mapping/distance_oracle.cc
     src/mapping/distance_oracle.hh
-    src/mapping/routability_filter.hh
-    src/mapping/routability_filter.cc
     src/mapping/portfolio.hh
     src/arch/arch_context.hh
     src/serve/cache.hh
