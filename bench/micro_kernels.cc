@@ -87,7 +87,7 @@ reportRouterCounters(benchmark::State &state, const map::RouterWorkspace &ws,
 }
 
 /** Router churn on a temporal CGRA. Range: II, then 0 = optimized
- *  (A* + oracle pruning) / 1 = LISA_ROUTER_REFERENCE algorithm. */
+ *  (A* + oracle pruning) / 1 = reference (referenceMode) algorithm. */
 void
 BM_RouterChurnTemporal(benchmark::State &state)
 {

@@ -1,6 +1,6 @@
 /**
  * @file
- * ArchContext: shared, serializable cache of arch-derived artifacts.
+ * ArchContext: shared, in-memory cache of arch-derived artifacts.
  *
  * Everything the mapping stack derives from an Accelerator alone is
  * request-invariant: the CSR MRRG per II, the static-distance oracle
@@ -35,14 +35,9 @@
  * #PEs * II. Rotated values are exactly equal to a direct BFS, keeping
  * routing bit-identical (tests/test_arch_context.cc pins this).
  *
- * Warm start. A context serializes its canonical tables to a versioned
- * binary file ("LARC"): magic, format version, an accelerator content
- * fingerprint (FNV-1a over the PE grid, links, register counts, op
- * support, maxIi and mapping mode), the table payload, and a trailing
- * checksum. Load rejects any magic/version/fingerprint/size/checksum
- * mismatch and leaves the context cold. With LISA_ARCH_CACHE=<dir> set, a
- * context loads the file at construction and saves at destruction, so a
- * long-lived process warm-starts with oracleBuilds ~ 0.
+ * Everything lives in memory for the life of the context. Nothing is
+ * persisted, because a cold build costs no more than a disk load
+ * (DESIGN.md section 10).
  *
  * Threading: mrrgFor / oracleStoreFor take the context mutex; OracleStore
  * builds take the store mutex and publish through release stores; the
@@ -149,10 +144,6 @@ class OracleStore
     void buildCanonicalHops(std::vector<int32_t> &tab, int pe)
         LISA_REQUIRES(mu);
     void buildCosts(std::vector<double> &tab, int pe) LISA_REQUIRES(mu);
-    /** Seed the canonical layer-0 slot for @p pe (warm start / tests). */
-    void seedCanonicalHops(int pe, std::vector<int32_t> table)
-        LISA_EXCLUDES(mu);
-    void seedCosts(int pe, std::vector<double> table) LISA_EXCLUDES(mu);
 
     std::shared_ptr<const Mrrg> graph;
     double fu;
@@ -190,14 +181,12 @@ class ArchContext
 {
   public:
     /**
-     * Build a context for @p accel. When @p cache_dir is non-empty the
-     * context loads its warm-start file from there at construction
-     * (best-effort) and saves at destruction. The default is the
-     * LISA_ARCH_CACHE environment knob ("" = no disk cache).
+     * Build a context for @p accel. The second parameter is ignored; it
+     * is kept only because lisabench's compile and serve workloads
+     * (workload_compile.cc, workload_serve.cc) still pass "".
      */
     explicit ArchContext(const Accelerator &accel,
-                         std::string cache_dir = envCacheDir());
-    ~ArchContext();
+                         const std::string & = std::string());
 
     ArchContext(const ArchContext &) = delete;
     ArchContext &operator=(const ArchContext &) = delete;
@@ -216,8 +205,8 @@ class ArchContext
 
     /**
      * The shared OracleStore for (@p mrrg, @p fu_cost, @p reg_cost),
-     * created on first request (seeded from the warm-start payload when
-     * one matches) and cached by MRRG uid. The store retains @p mrrg.
+     * created on first request and cached by MRRG uid. The store retains
+     * @p mrrg.
      */
     std::shared_ptr<OracleStore>
     oracleStoreFor(const std::shared_ptr<const Mrrg> &mrrg, double fu_cost,
@@ -231,36 +220,12 @@ class ArchContext
         return arch->opCapablePes(op);
     }
 
-    /** @{ Warm-start (de)serialization. save() writes atomically
-     *  (tmp + rename); load() validates magic, version, fingerprint and
-     *  checksum and leaves the context unchanged on any mismatch. */
-    bool save(const std::string &path) const LISA_EXCLUDES(mu);
-    bool load(const std::string &path) LISA_EXCLUDES(mu);
-    /** @} */
-
     /** Always false: no fabric carries a routability model. Kept only
      *  because lisabench's compile workload reads it for its provenance
      *  line. */
     bool routabilityModel() const { return false; }
 
-    /** Path of this accelerator's cache file ("" without a cache dir). */
-    std::string cacheFilePath() const;
-
-    /** Value of the LISA_ARCH_CACHE environment knob ("" when unset). */
-    static std::string envCacheDir();
-
   private:
-    struct WarmBinding
-    {
-        int ii = 0;
-        double fu = 0.0;
-        double reg = 0.0;
-        /** Canonical layer-0 hop tables per PE; empty = absent. */
-        std::vector<std::vector<int32_t>> canonicalHops;
-        /** Spatial cost tables per PE; empty = absent. */
-        std::vector<std::vector<double>> costTables;
-    };
-
     struct StoreKey
     {
         uint64_t uid = 0;
@@ -277,23 +242,13 @@ class ArchContext
         }
     };
 
-    void seedFromWarm(OracleStore &store) LISA_REQUIRES(mu);
-
     const Accelerator *arch;
-    std::string dir;
     uint64_t fp;
-    // Snapshotted at construction so the destructor's save() never touches
-    // *arch: registry-held contexts (bench harness) are destroyed during
-    // static teardown, after a main()-local accelerator has already died.
-    std::string archName;
-    int archPes;
 
     mutable support::Mutex mu;
     std::map<int, std::shared_ptr<const Mrrg>> mrrgs LISA_GUARDED_BY(mu);
     std::map<StoreKey, std::shared_ptr<OracleStore>> stores
         LISA_GUARDED_BY(mu);
-    /** Loaded warm-start payload, not yet consumed. */
-    std::vector<WarmBinding> warm LISA_GUARDED_BY(mu);
 };
 
 } // namespace lisa::arch

@@ -19,8 +19,7 @@ LisaFramework::LisaFramework(const arch::Accelerator &accel,
     if (cfg.archContext) {
         ctx = cfg.archContext;
     } else {
-        // Owned fallback: warm-starts from LISA_ARCH_CACHE when set, so a
-        // fresh process skips oracle/MRRG derivation entirely.
+        // Owned fallback: a private in-memory context for this framework.
         ownedCtx = std::make_unique<arch::ArchContext>(accel);
         ctx = ownedCtx.get();
     }

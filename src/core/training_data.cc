@@ -118,7 +118,7 @@ std::optional<RefinedLabels>
 refineLabels(const dfg::Dfg &dfg, const arch::Accelerator &accel,
              const TrainingDataConfig &config, Rng &rng)
 {
-    arch::ArchContext context(accel, std::string());
+    arch::ArchContext context(accel);
     return refineLabels(dfg, context, config, rng);
 }
 
@@ -228,7 +228,7 @@ std::vector<gnn::LabeledSample>
 generateTrainingSet(const arch::Accelerator &accel,
                     const TrainingDataConfig &config, Rng &rng)
 {
-    arch::ArchContext context(accel, std::string());
+    arch::ArchContext context(accel);
     return generateTrainingSet(context, config, rng);
 }
 

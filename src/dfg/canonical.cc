@@ -86,15 +86,6 @@ refineToFixpoint(const Dfg &dfg, std::vector<uint64_t> &color)
     }
 }
 
-/** @return true when every node has a unique color (discrete partition). */
-bool
-isDiscrete(const std::vector<uint64_t> &color)
-{
-    std::vector<uint64_t> d(color);
-    std::sort(d.begin(), d.end());
-    return std::adjacent_find(d.begin(), d.end()) == d.end();
-}
-
 /**
  * Smallest color value that labels more than one node, or UINT64_MAX if
  * the partition is discrete. Choosing by color *value* (not by any node

@@ -68,8 +68,12 @@ readText(std::istream &is, std::string *error)
             if (id != static_cast<int>(g.numNodes()))
                 return fail("line " + std::to_string(lineno) +
                             ": node ids must be dense and ascending");
+            const std::optional<OpCode> code = opFromName(op);
+            if (!code)
+                return fail("line " + std::to_string(lineno) +
+                            ": unknown op mnemonic '" + op + "'");
             ls >> name;
-            g.addNode(opFromName(op), name);
+            g.addNode(*code, name);
         } else if (kind == "edge") {
             int src, dst, dist = 0;
             if (!(ls >> src >> dst))
@@ -82,6 +86,9 @@ readText(std::istream &is, std::string *error)
                 return fail("line " + std::to_string(lineno) +
                             ": edge endpoint out of range");
             }
+            if (dist < 0)
+                return fail("line " + std::to_string(lineno) +
+                            ": negative iteration distance");
             g.addEdge(src, dst, dist);
         } else {
             return fail("line " + std::to_string(lineno) +

@@ -29,7 +29,7 @@
  * static distance therefore never overestimates the remaining cost of an
  * optimal route, and A* / the DP prune return cost-identical results to
  * the undirected search (tests/test_router_equiv.cc pins this against the
- * LISA_ROUTER_REFERENCE fallback).
+ * RouterWorkspace::referenceMode kernels).
  *
  * Ownership: since the tables are pure functions of (MRRG, cost knobs),
  * they live in a thread-safe arch::OracleStore shared by every workspace

@@ -378,7 +378,7 @@ searchMinIi(Mapper &mapper, const dfg::Dfg &dfg,
     // Transient disk-less context: identical artifacts, scoped to this
     // sweep (so temporal II attempts still share oracle tables, and
     // nothing leaks across one-shot calls).
-    arch::ArchContext context(accel, std::string());
+    arch::ArchContext context(accel);
     return searchMinIi(mapper, dfg, context, options);
 }
 

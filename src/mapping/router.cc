@@ -95,8 +95,8 @@ prependSharedPrefix(const Mapping &mapping, dfg::EdgeId parentEdge,
  * Exact-length layered DP for temporal architectures — reference kernel.
  *
  * The undirected pre-oracle algorithm, kept verbatim behind
- * LISA_ROUTER_REFERENCE (RouterWorkspace::referenceMode) as the ground
- * truth the equivalence property tests compare against. The optimized
+ * RouterWorkspace::referenceMode as the ground truth the equivalence
+ * property tests compare against. The optimized
  * kernel below must return bit-identical paths and costs.
  */
 const RouteResult *

@@ -122,9 +122,6 @@ class RouterWorkspace
   public:
     static constexpr double kInf = std::numeric_limits<double>::infinity();
 
-    /** Reads LISA_ROUTER_REFERENCE into referenceMode. */
-    RouterWorkspace();
-
     /** @{ Search-start hooks: bump the epoch and size the arrays. */
     void beginSpatial(int numResources);
     /** @p steps rows (required length + 1) of @p perLayer slots each. */
@@ -263,8 +260,8 @@ class RouterWorkspace
     arch::ArchContext *archContext = nullptr;
 
     /** When true, routeEdge runs the undirected pre-oracle kernels
-     *  (exact pre-change algorithm). Initialized from the
-     *  LISA_ROUTER_REFERENCE environment knob; tests set it directly. */
+     *  (exact pre-change algorithm), the oracle the equivalence tests
+     *  and router micro-benchmarks compare against. */
     bool referenceMode = false;
 
     /** @{ Capacity introspection for the zero-allocation tests. */

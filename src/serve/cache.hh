@@ -14,8 +14,7 @@
  * of the kernel. The service replays and verifies it per hit; the cache
  * itself only stores bytes and never trusts them.
  *
- * Persistence ("LSRV" v1) follows the LARC discipline from
- * arch/arch_context.hh: magic, format version, entry payload, trailing
+ * Persistence ("LSRV" v1): magic, format version, entry payload, trailing
  * FNV-1a checksum, written tmp + rename so a crash never leaves a torn
  * file; load rejects any magic/version/size/checksum mismatch and leaves
  * the cache unchanged (a cold cache is correct, a corrupt one is not).

@@ -116,6 +116,7 @@ TEST(OpNames, RoundTrip)
                     OpCode::Select, OpCode::Cmp, OpCode::Const}) {
         EXPECT_EQ(opFromName(opName(op)), op);
     }
+    EXPECT_EQ(opFromName("bogus"), std::nullopt);
 }
 
 TEST(OpNames, MemoryClassification)

@@ -1,4 +1,7 @@
-/** @file End-to-end framework tests with a miniature training config. */
+/** @file End-to-end framework tests with a miniature training config,
+ *  including the GNN model cache and its fabric-fingerprint check (the
+ *  only persisted file keyed by ArchContext::fingerprint() besides the
+ *  serve cache). */
 
 #include <gtest/gtest.h>
 
@@ -118,7 +121,7 @@ TEST_F(FrameworkTest, ModelCacheRejectsDifferentFabricSameName)
         std::ifstream in(meta_path);
         uint64_t fp = 0;
         ASSERT_TRUE(static_cast<bool>(in >> fp));
-        arch::ArchContext ctx_a(a, std::string());
+        arch::ArchContext ctx_a(a);
         EXPECT_EQ(fp, ctx_a.fingerprint());
         std::ofstream out(meta_path);
         out << fp << '\n';
@@ -148,7 +151,7 @@ TEST_F(FrameworkTest, ModelCacheRejectsDifferentFabricSameName)
     std::ifstream in(meta_path);
     uint64_t fp = 0;
     ASSERT_TRUE(static_cast<bool>(in >> fp));
-    arch::ArchContext ctx_b(b, std::string());
+    arch::ArchContext ctx_b(b);
     EXPECT_EQ(fp, ctx_b.fingerprint());
 }
 

@@ -365,7 +365,7 @@ TEST(SearchMinIi, StopFlagIsRecordedInTimeline)
 TEST(PortfolioSearch, RouteSlotProofRunsOncePerRace)
 {
     arch::CgraArch c(arch::baselineCgra(4, 4));
-    arch::ArchContext context(c, std::string());
+    arch::ArchContext context(c);
     auto w = workloads::workloadByName("trmm");
     PortfolioSearch race(context);
     std::vector<RecordingMapper *> probes;

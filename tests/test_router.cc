@@ -151,7 +151,7 @@ TEST(Router, FanoutReusesExistingRoute)
 
 /** Temporal multi-fanout reroute: the branch taken off an existing route
  *  must come back as a complete producer-rooted path (prependSharedPrefix),
- *  in both the optimized and the LISA_ROUTER_REFERENCE kernels. */
+ *  in both the optimized and the reference (referenceMode) kernels. */
 void
 expectFanoutBranchCompleteTemporal(bool reference_mode)
 {

@@ -1,6 +1,6 @@
 /** @file Property test: the goal-directed router (A* + distance-oracle
  *  pruning) is cost-equivalent to the pre-oracle reference router kept
- *  behind LISA_ROUTER_REFERENCE=1.
+ *  behind RouterWorkspace::referenceMode.
  *
  *  Protocol: two identically-placed mappings are routed edge-by-edge, one
  *  with a reference-mode workspace and one with the optimized workspace.

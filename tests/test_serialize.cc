@@ -94,6 +94,22 @@ TEST(Serialize, RejectsEdgeOutOfRange)
     EXPECT_NE(error.find("range"), std::string::npos);
 }
 
+TEST(Serialize, RejectsUnknownOpMnemonic)
+{
+    std::string error;
+    EXPECT_FALSE(fromText("dfg t\nnode 0 bogus a\n", &error).has_value());
+    EXPECT_EQ(error, "line 2: unknown op mnemonic 'bogus'");
+}
+
+TEST(Serialize, RejectsNegativeIterationDistance)
+{
+    std::string error;
+    EXPECT_FALSE(fromText("dfg t\nnode 0 add\nnode 1 add\nedge 0 1 -1\n",
+                          &error)
+                     .has_value());
+    EXPECT_EQ(error, "line 4: negative iteration distance");
+}
+
 TEST(Serialize, RejectsInvalidGraph)
 {
     // Two disconnected nodes fail Dfg::validate at parse time.

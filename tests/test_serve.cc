@@ -262,6 +262,18 @@ TEST(MappingService, RejectsMalformedRequests)
     EXPECT_FALSE(o1.ok);
     EXPECT_NE(o1.error.find("dfg"), std::string::npos);
 
+    // Unknown mnemonics and negative distances are rejected requests,
+    // never a daemon exit.
+    const MapOutcome bad_op =
+        service.map(kernelRequest("dfg t\nnode 0 bogus a\n"));
+    EXPECT_FALSE(bad_op.ok);
+    EXPECT_NE(bad_op.error.find("unknown op mnemonic"), std::string::npos);
+    const MapOutcome bad_dist = service.map(
+        kernelRequest("dfg t\nnode 0 add\nnode 1 add\nedge 0 1 -1\n"));
+    EXPECT_FALSE(bad_dist.ok);
+    EXPECT_NE(bad_dist.error.find("negative iteration distance"),
+              std::string::npos);
+
     MapRequest bad_accel = kernelRequest();
     bad_accel.accelSpec = "accel warp 9";
     const MapOutcome o2 = service.map(bad_accel);
