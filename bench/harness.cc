@@ -238,7 +238,6 @@ frameworkFor(const arch::Accelerator &accel)
         cfg.trainingData.totalBudget = 1.2;
         cfg.trainingData.threads = benchThreads();
         cfg.training.epochs = fastMode() ? 40 : 120;
-        cfg.cacheDir = "lisa_models";
         auto fw = std::make_unique<core::LisaFramework>(accel, cfg);
         fw->prepare();
         it = registry.emplace(accel.name(), std::move(fw)).first;

@@ -2,8 +2,10 @@
  * @file
  * Shared benchmark harness: runs the three mappers (ILP* exact stand-in,
  * vanilla SA, LISA) over a workload set on one accelerator and prints the
- * paper-style rows. LISA models are trained on demand and cached under
- * ./lisa_models so all bench binaries share the one-off training cost.
+ * paper-style rows. LISA models come from core::defaultModelDir(): the
+ * shipped cgra4x4 models load from there, and other fabrics train on
+ * first use and are cached there, so all bench binaries share the
+ * one-off training cost whatever their working directory.
  *
  * Environment knobs:
  *  - LISA_BENCH_FAST=1  : quarter budgets (smoke-testing the harness)
@@ -97,8 +99,10 @@ arch::ArchContext &archContextFor(const arch::Accelerator &accel);
 
 /**
  * Get (and prepare) the shared LISA framework for an accelerator. The
- * instance lives for the process; models are cached in ./lisa_models.
- * Its arch artifacts come from archContextFor(accel).
+ * instance lives for the process; models live in core::defaultModelDir().
+ * Its arch artifacts come from archContextFor(accel). Its training
+ * recipe is the only one in the tree: the shipped cgra4x4 models are
+ * what it trains in full mode (DESIGN.md section 14).
  */
 core::LisaFramework &frameworkFor(const arch::Accelerator &accel);
 

@@ -8,9 +8,8 @@
  * mixes. Two phases:
  *
  *  1. cold: every kernel once, serially — these are guaranteed misses
- *     (unless --cache warm-starts) and establish the cold-search latency
- *     baseline the ISSUE's >= 100x hit-speedup criterion compares
- *     against;
+ *     (unless --cache warm-starts) and measure the cold-search latency
+ *     that hitSpeedupP50 reports the hit p50 against;
  *  2. load: --requests requests from --concurrency connections. Each
  *     request is a repeat of a phase-1 kernel with probability
  *     --hit-ratio, otherwise a fresh synthetic DFG (dfg/generator.hh) no

@@ -70,7 +70,7 @@ main(int argc, char **argv)
     report("SA", map::searchMinIi(sa, w.dfg, *accel, opts));
 
     // LISA needs per-accelerator models; train small ones on first use
-    // (cached under ./lisa_models for subsequent runs).
+    // (cached in core::defaultModelDir() for subsequent runs).
     core::FrameworkConfig fw_cfg;
     fw_cfg.trainingData.numDfgs = 30;
     fw_cfg.training.epochs = 80;

@@ -3,14 +3,40 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "arch/arch_context.hh"
 #include "mappers/exact_mapper.hh"
 #include "mappers/sa_mapper.hh"
 #include "nn/serialize.hh"
+#include "support/fnv.hh"
 #include "support/logging.hh"
 
 namespace lisa::core {
+
+namespace {
+
+/** The files one accelerator's models occupy, in fingerprint order. */
+constexpr const char *kModelFiles[] = {"label1", "label2", "label3",
+                                       "label4", "meta"};
+
+} // namespace
+
+std::string
+defaultModelDir()
+{
+    return LISA_MODEL_DIR;
+}
+
+std::string
+displayModelDir(const std::string &dir)
+{
+    if (dir.empty())
+        return "(no model dir)";
+    std::error_code ec;
+    const auto abs = std::filesystem::absolute(dir, ec);
+    return ec ? dir : abs.string();
+}
 
 LisaFramework::LisaFramework(const arch::Accelerator &accel,
                              FrameworkConfig config)
@@ -40,52 +66,79 @@ LisaFramework::cachePath(const std::string &suffix) const
     return cfg.cacheDir + "/" + arch->name() + "." + suffix;
 }
 
-bool
-LisaFramework::loadFromCache()
+uint64_t
+LisaFramework::hashModelFiles() const
 {
     if (cfg.cacheDir.empty())
-        return false;
+        return 0;
+    support::Fnv1a h;
+    for (const char *suffix : kModelFiles) {
+        std::ifstream in(cachePath(suffix), std::ios::binary);
+        if (!in)
+            return 0;
+        std::ostringstream bytes;
+        bytes << in.rdbuf();
+        h.str(suffix);
+        h.str(bytes.str());
+    }
+    return h.h;
+}
+
+ModelLoad
+LisaFramework::load()
+{
+    if (ready)
+        return ModelLoad::Loaded;
+    if (cfg.cacheDir.empty())
+        return ModelLoad::NoneUsable;
     if (!nn::loadModuleFile(nets->scheduleOrder, cachePath("label1")) ||
         !nn::loadModuleFile(nets->association, cachePath("label2")) ||
         !nn::loadModuleFile(nets->spatialDist, cachePath("label3")) ||
         !nn::loadModuleFile(nets->temporalDist, cachePath("label4"))) {
-        return false;
+        return ModelLoad::NoneUsable;
     }
     std::ifstream meta(cachePath("meta"));
-    if (!meta)
-        return false;
     // The cache file name keys on the accelerator's *name* only; two
     // fabrics can share a name (e.g. the same grid at a different config
     // depth). The content fingerprint recorded at save time catches that:
-    // a mismatch means the models were trained for a different fabric, so
-    // the cache is stale and the caller retrains.
+    // a mismatch means the models were trained for a different fabric.
     uint64_t fp = 0;
     if (!(meta >> fp))
-        return false;
-    if (fp != ctx->fingerprint()) {
-        inform("model cache for ", arch->name(),
-               " was trained for a different fabric "
-               "(fingerprint mismatch); retraining");
-        return false;
-    }
-    accuracies.assign(4, 0.0);
-    for (double &a : accuracies)
+        return ModelLoad::NoneUsable;
+    if (fp != ctx->fingerprint())
+        return ModelLoad::ForeignFabric;
+    std::vector<double> acc(4, 0.0);
+    for (double &a : acc)
         if (!(meta >> a))
-            return false;
-    return true;
+            return ModelLoad::NoneUsable;
+    accuracies = std::move(acc);
+    modelFp = hashModelFiles();
+    ready = true;
+    return ModelLoad::Loaded;
 }
 
-void
+bool
 LisaFramework::saveToCache() const
 {
     if (cfg.cacheDir.empty())
-        return;
+        return false;
+    // Never replace models recorded for another fabric of the same name
+    // (e.g. the shipped cgra4x4 models, when a deeper-config cgra4x4
+    // trains): the file names key on the name only, so saving would
+    // silently swap the other fabric's models for these. A meta from
+    // before fingerprints reads as 0 and is replaced.
+    {
+        std::ifstream existing(cachePath("meta"));
+        uint64_t fp = 0;
+        if (existing >> fp && fp != 0 && fp != ctx->fingerprint())
+            return false;
+    }
     std::error_code ec;
     std::filesystem::create_directories(cfg.cacheDir, ec);
     if (ec) {
         warn("cannot create model cache dir '", cfg.cacheDir, "': ",
              ec.message());
-        return;
+        return false;
     }
     nn::saveModuleFile(nets->scheduleOrder, "label1", cachePath("label1"));
     nn::saveModuleFile(nets->association, "label2", cachePath("label2"));
@@ -95,6 +148,7 @@ LisaFramework::saveToCache() const
     meta << ctx->fingerprint() << '\n';
     for (double a : accuracies)
         meta << a << '\n';
+    return true;
 }
 
 void
@@ -103,22 +157,19 @@ LisaFramework::prepare()
     if (ready)
         return;
     // One provenance line: whether the label models were loaded or are
-    // being retrained, and from/into which directory (absolute, so a run
-    // from an unexpected cwd is visible).
-    std::string dir = "(no cache dir)";
-    if (!cfg.cacheDir.empty()) {
-        std::error_code ec;
-        const auto abs = std::filesystem::absolute(cfg.cacheDir, ec);
-        dir = ec ? cfg.cacheDir : abs.string();
-    }
-    if (loadFromCache()) {
+    // being retrained, and from/into which directory.
+    const std::string dir = displayModelDir(cfg.cacheDir);
+    const ModelLoad loaded = load();
+    if (loaded == ModelLoad::Loaded) {
         inform("label models for ", arch->name(), ": loaded from ", dir);
-        ready = true;
         return;
     }
 
-    inform("label models for ", arch->name(), ": none usable in ", dir,
-           "; generating training data and retraining");
+    inform("label models for ", arch->name(), ": ",
+           loaded == ModelLoad::ForeignFabric
+               ? "trained for a different fabric (fingerprint mismatch)"
+               : "none usable",
+           " in ", dir, "; generating training data and retraining");
     auto samples = generateTrainingSet(*ctx, cfg.trainingData, rng);
     if (samples.empty())
         fatal("no training samples survived the filter for ", arch->name());
@@ -137,7 +188,11 @@ LisaFramework::prepare()
     gnn::trainAll(*nets, samples, cfg.training);
     accuracies = gnn::evaluateAccuracy(*nets, test.empty() ? samples : test);
 
-    saveToCache();
+    if (saveToCache())
+        modelFp = hashModelFiles();
+    else if (loaded == ModelLoad::ForeignFabric)
+        inform("label models for ", arch->name(), ": kept in memory only; ",
+               dir, " keeps the other fabric's models");
     ready = true;
 }
 

@@ -5,13 +5,16 @@
  * For a target accelerator, prepare() either loads cached GNN models or
  * runs the one-off pipeline: synthesize DFGs, refine labels iteratively,
  * train the four label networks, measure held-out accuracy (Table II), and
- * cache everything on disk. compile() then maps any new DFG: the trained
- * GNNs predict its labels and the label-aware SA searches the minimum II.
+ * cache everything on disk. load() is the loading half alone, for callers
+ * that must never train (the serve daemon). compile() then maps any new
+ * DFG: the trained GNNs predict its labels and the label-aware SA searches
+ * the minimum II.
  */
 
 #ifndef LISA_CORE_FRAMEWORK_HH
 #define LISA_CORE_FRAMEWORK_HH
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,6 +31,18 @@ class ArchContext;
 
 namespace lisa::core {
 
+/**
+ * The one model directory rule: `<repo>/lisa_models`, an absolute path
+ * fixed when src/ is configured, so every binary built from this tree
+ * finds the same models whatever its cwd. The cgra4x4 label models ship
+ * there; models trained for other fabrics are cached beside them.
+ */
+std::string defaultModelDir();
+
+/** @p dir as provenance lines show it: absolute, so a run from an
+ *  unexpected cwd is visible; "(no model dir)" when empty. */
+std::string displayModelDir(const std::string &dir);
+
 /** Framework-level configuration. */
 struct FrameworkConfig
 {
@@ -36,7 +51,7 @@ struct FrameworkConfig
     /** Held-out fraction for the Table II accuracy numbers. */
     double testFraction = 0.15;
     /** Directory for cached models ("" disables caching). */
-    std::string cacheDir = "lisa_models";
+    std::string cacheDir = defaultModelDir();
     uint64_t seed = 7;
     LisaConfig mapper;
     /** Shared arch-artifact cache (MRRGs, distance-oracle tables). When
@@ -62,20 +77,26 @@ struct PortfolioConfig
     bool runIlp = true;
 };
 
+/** How LisaFramework::load() left the label models. */
+enum class ModelLoad : uint8_t
+{
+    Loaded,        ///< read from cacheDir, trained for this fabric
+    NoneUsable,    ///< no cacheDir, or a file missing or unreadable
+    ForeignFabric, ///< readable, but trained for another fabric
+};
+
 /**
  * Portable compiler instance for one accelerator.
  *
- * Concurrency contract: a LisaFramework is *externally synchronized* —
- * prepare() mutates the model cache and even the const entry points
- * (compile, predictLabels) draw from the mutable `rng` member, so two
- * threads may not share one instance without a lock. What *is* safe to
- * share is everything the framework hands out: the ArchContext is
- * internally synchronized (see arch/arch_context.hh), the trained
- * LabelModels are immutable after prepare(), and compile()'s inner
- * parallelism (attempt streams, portfolio members) runs on private
- * per-stream state by construction. The bench harness follows this rule
- * by giving each worker its own framework while sharing one ArchContext
- * per accelerator.
+ * Concurrency contract: prepare() and load() mutate the framework (the
+ * models, the training `rng`) and must not overlap any other call. Once
+ * either has made the framework ready, the const entry points
+ * (predictLabels, compile, compilePortfolio) only read the immutable
+ * LabelModels and may run concurrently from any number of threads: the
+ * ArchContext is internally synchronized (see arch/arch_context.hh), and
+ * each call's mapper, labels and attempt streams are private to it. The
+ * serve daemon relies on this to race one framework per fabric from
+ * every admitted search.
  */
 class LisaFramework
 {
@@ -86,6 +107,18 @@ class LisaFramework
 
     /** Train or load the label models; idempotent. */
     void prepare();
+
+    /**
+     * Load the label models from cacheDir, never training. The .meta
+     * fabric fingerprint must match this framework's ArchContext, exactly
+     * as in prepare(). On Loaded the framework is ready; otherwise its
+     * models are unusable and it stays unprepared.
+     */
+    ModelLoad load();
+
+    /** FNV-1a over the bytes of the five model files, as loaded or as
+     *  saved after training; 0 while no model files back the framework. */
+    uint64_t modelFingerprint() const { return modelFp; }
 
     bool isPrepared() const { return ready; }
 
@@ -123,8 +156,10 @@ class LisaFramework
 
   private:
     std::string cachePath(const std::string &suffix) const;
-    bool loadFromCache();
-    void saveToCache() const;
+    uint64_t hashModelFiles() const;
+    /** Write the models to cacheDir unless it holds another fabric's
+     *  models under this name; true when they were written. */
+    bool saveToCache() const;
 
     const arch::Accelerator *arch;
     FrameworkConfig cfg;
@@ -133,6 +168,7 @@ class LisaFramework
     mutable Rng rng;
     std::unique_ptr<gnn::LabelModels> nets;
     std::vector<double> accuracies;
+    uint64_t modelFp = 0;
     bool ready = false;
 };
 

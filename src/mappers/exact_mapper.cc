@@ -143,6 +143,12 @@ ExactMapper::tryMap(const MapContext &ctx)
         MapperStats stats;
         stats.router = dfs.ws.counters;
         stats.mapSeconds = dfs.timer.seconds();
+        // Dfs::timedOut covers both the budget and cancellation, so a
+        // failure without it is a search that ended on its own: the
+        // enumeration ran out, or stopped at a complete placement that
+        // Mapping::valid() rejected.
+        if (!found && !dfs.timedOut)
+            stats.searchesExhausted = 1;
         ctx.stats->merge(stats);
     }
     if (found) {

@@ -14,6 +14,7 @@ MapperStats::merge(const MapperStats &o)
     incumbentCancels += o.incumbentCancels;
     iisProvenInfeasible += o.iisProvenInfeasible;
     boundNodes += o.boundNodes;
+    searchesExhausted += o.searchesExhausted;
     initSeconds += o.initSeconds;
     moveSeconds += o.moveSeconds;
     mapSeconds += o.mapSeconds;
@@ -42,6 +43,7 @@ MapperStats::toJson() const
        << "\"incumbentCancels\":" << incumbentCancels << ","
        << "\"iisProvenInfeasible\":" << iisProvenInfeasible << ","
        << "\"boundNodes\":" << boundNodes << ","
+       << "\"searchesExhausted\":" << searchesExhausted << ","
        << "\"initSeconds\":" << initSeconds << ","
        << "\"moveSeconds\":" << moveSeconds << ","
        << "\"mapSeconds\":" << mapSeconds << "}";

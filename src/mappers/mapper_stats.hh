@@ -52,6 +52,10 @@ struct MapperStats
     uint64_t iisProvenInfeasible = 0;
     /** Route-slot bound search nodes expanded (ii_bound.hh). */
     uint64_t boundNodes = 0;
+    /** Attempts whose search ended on its own without a mapping, before
+     *  any budget or cancellation cut it (ILP*). ILP*'s search is
+     *  incomplete, so this is no infeasibility proof. */
+    uint64_t searchesExhausted = 0;
 
     /** @{ Per-phase wall-clock, seconds. initSeconds covers initial
      *  placement + first routing pass of each restart; moveSeconds covers

@@ -61,6 +61,8 @@ iiOutcomeName(IiOutcome outcome)
         return "incumbent-cancelled";
     case IiOutcome::Stopped:
         return "stopped";
+    case IiOutcome::SearchExhausted:
+        return "search-exhausted";
     }
     return "stopped";
 }
@@ -127,6 +129,18 @@ proveLowIis(const dfg::Dfg &dfg, const arch::Accelerator &accel, int mii)
 }
 
 namespace {
+
+/** How a failed attempt that no incumbent dominated left its II: the
+ *  stop flag, a finished enumeration, or the attempt's budget. */
+IiOutcome
+failedAttemptOutcome(const SearchOptions &options, bool exhausted)
+{
+    // relaxed: advisory cancellation latch (see MapContext::cancelled).
+    if (options.stop && options.stop->load(std::memory_order_relaxed))
+        return IiOutcome::Stopped;
+    return exhausted ? IiOutcome::SearchExhausted
+                     : IiOutcome::BudgetExhausted;
+}
 
 /** The sweep; @p proofs, when set, replaces running boundIi here. */
 SearchResult
@@ -212,6 +226,7 @@ sweep(Mapper &mapper, const dfg::Dfg &dfg, arch::ArchContext &context,
                        options.incumbent,
                        1,
                        options.memberRank};
+        const uint64_t exhausted_before = result.stats.searchesExhausted;
         auto mapping = mapper.tryMap(ctx);
         result.attempts = attempts.load();
         if (mapping) {
@@ -231,11 +246,8 @@ sweep(Mapper &mapper, const dfg::Dfg &dfg, arch::ArchContext &context,
             // sweep loop).
             return finish(IiOutcome::Success);
         }
-        // relaxed: advisory cancellation latch, as above.
-        return finish(options.stop &&
-                              options.stop->load(std::memory_order_relaxed)
-                          ? IiOutcome::Stopped
-                          : IiOutcome::BudgetExhausted);
+        return finish(failedAttemptOutcome(
+            options, result.stats.searchesExhausted > exhausted_before));
     }
 
     if (res_mii < 0) {
@@ -321,6 +333,7 @@ sweep(Mapper &mapper, const dfg::Dfg &dfg, arch::ArchContext &context,
                        options.incumbent,
                        ii,
                        options.memberRank};
+        const uint64_t exhausted_before = result.stats.searchesExhausted;
         auto mapping = mapper.tryMap(ctx);
         if (mapping) {
             // Final-answer check, unconditional in every build type.
@@ -345,10 +358,8 @@ sweep(Mapper &mapper, const dfg::Dfg &dfg, arch::ArchContext &context,
             record(IiOutcome::IncumbentCancelled);
             break;
         }
-        // relaxed: advisory cancellation latch, as above.
-        record(options.stop && options.stop->load(std::memory_order_relaxed)
-                   ? IiOutcome::Stopped
-                   : IiOutcome::BudgetExhausted);
+        record(failedAttemptOutcome(
+            options, result.stats.searchesExhausted > exhausted_before));
     }
     result.seconds = total.seconds();
     result.attempts = attempts.load();

@@ -98,10 +98,14 @@ enum class IiOutcome : uint8_t
     BudgetExhausted,    ///< the attempt, or the sweep's total budget, ran out
     IncumbentCancelled, ///< a portfolio sibling's success dominated it
     Stopped,            ///< the external stop flag was raised
+    /** The mapper's enumeration finished without a mapping before its
+     *  budget ran out (MapperStats::searchesExhausted). ILP* is
+     *  incomplete, so this is no proof the II is infeasible. */
+    SearchExhausted,
 };
 
 /** Stable name: "proven-infeasible", "success", "budget-exhausted",
- *  "incumbent-cancelled" or "stopped". */
+ *  "incumbent-cancelled", "stopped" or "search-exhausted". */
 const char *iiOutcomeName(IiOutcome outcome);
 
 /** One entry of the sweep timeline. */

@@ -42,7 +42,7 @@ MappingCache::size() const
 namespace {
 
 constexpr char kMagic[4] = {'L', 'S', 'R', 'V'};
-constexpr uint32_t kVersion = 1;
+constexpr uint32_t kVersion = 2;
 
 void
 putU32(std::string &buf, uint32_t v)
@@ -157,6 +157,7 @@ MappingCache::save(const std::string &path) const
             putU64(buf, static_cast<uint64_t>(entry->attempts));
             putU64(buf, doubleBits(entry->searchSeconds));
             putStr(buf, entry->winner);
+            putU64(buf, entry->modelFingerprint);
             putStr(buf, entry->mappingText);
         }
     }
@@ -219,6 +220,7 @@ MappingCache::load(const std::string &path)
         entry->attempts = static_cast<long>(r.u64());
         entry->searchSeconds = r.f64();
         entry->winner = r.str();
+        entry->modelFingerprint = r.u64();
         entry->mappingText = r.str();
         if (r.bad)
             return false;

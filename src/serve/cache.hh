@@ -14,10 +14,16 @@
  * of the kernel. The service replays and verifies it per hit; the cache
  * itself only stores bytes and never trusts them.
  *
- * Persistence ("LSRV" v1): magic, format version, entry payload, trailing
+ * Each entry also records the fingerprint of the label models that were
+ * loaded when it was searched (0 = none). It is not part of the key: the
+ * service treats an entry made under other models as a miss and replaces
+ * it, so answers made with and without models never alias.
+ *
+ * Persistence ("LSRV" v2): magic, format version, entry payload, trailing
  * FNV-1a checksum, written tmp + rename so a crash never leaves a torn
  * file; load rejects any magic/version/size/checksum mismatch and leaves
  * the cache unchanged (a cold cache is correct, a corrupt one is not).
+ * v1 files, which carry no model fingerprint, are rejected that way.
  *
  * This file is on the tools/lint.sh hot-file list: the lookup path —
  * the steady state of a warmed-up daemon — takes the mutex, probes one
@@ -64,8 +70,11 @@ struct CacheEntry
     long attempts = 0;
     /** Wall-clock of the search that produced the entry, seconds. */
     double searchSeconds = 0.0;
-    /** Winning portfolio member ("SA", "ILP*", ...). */
+    /** Winning portfolio member ("LISA", "SA", "ILP*"). */
     std::string winner;
+    /** LisaFramework::modelFingerprint() of the fabric's label models
+     *  when the entry was searched; 0 when the race ran without them. */
+    uint64_t modelFingerprint = 0;
     /** "lisa-mapping v1" text over the canonical DFG. */
     std::string mappingText;
 };
@@ -90,7 +99,7 @@ class MappingCache
 
     size_t size() const LISA_EXCLUDES(mu);
 
-    /** @{ LSRV v1 persistence. save() writes atomically (tmp + rename);
+    /** @{ LSRV v2 persistence. save() writes atomically (tmp + rename);
      *  load() validates magic, version and checksum, rejects individually
      *  malformed records, and merges valid ones over the current content.
      *  Both return false on any I/O or format failure. */

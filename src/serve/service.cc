@@ -8,6 +8,7 @@
 #include "dfg/serialize.hh"
 #include "mappers/exact_mapper.hh"
 #include "mappers/sa_mapper.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
 #include "verify/mapping_io.hh"
 #include "verify/verify.hh"
@@ -21,6 +22,22 @@ ServeConfig::envCacheFile()
     return v ? v : "";
 }
 
+namespace {
+
+/** 16 lowercase hex digits: how fingerprints appear in logs and stats. */
+std::string
+hexFingerprint(uint64_t fp)
+{
+    std::ostringstream os;
+    os << std::hex;
+    os.width(16);
+    os.fill('0');
+    os << fp;
+    return os.str();
+}
+
+} // namespace
+
 std::string
 ServeStats::toJson() const
 {
@@ -28,30 +45,26 @@ ServeStats::toJson() const
     os << "{\"requests\":" << requests << ",\"hits\":" << hits
        << ",\"misses\":" << misses << ",\"coalesced\":" << coalesced
        << ",\"searches\":" << searches
-       << ",\"verifyFailures\":" << verifyFailures << "}";
+       << ",\"verifyFailures\":" << verifyFailures << ",\"fabrics\":[";
+    for (size_t i = 0; i < fabrics.size(); ++i) {
+        const FabricStats &f = fabrics[i];
+        os << (i ? "," : "") << "{\"accel\":\"" << jsonEscape(f.accel)
+           << "\",\"race\":[";
+        for (size_t m = 0; m < f.race.size(); ++m)
+            os << (m ? "," : "") << '"' << jsonEscape(f.race[m]) << '"';
+        os << "],\"modelFingerprint\":";
+        if (f.modelFingerprint)
+            os << '"' << hexFingerprint(f.modelFingerprint) << '"';
+        else
+            os << "null";
+        os << '}';
+    }
+    os << "]}";
     return os.str();
 }
 
-namespace {
-
-/** Production search backend: SA + ILP*, the two baselines that win
- *  serve races. LISA is absent because the daemon serves without a
- *  trained GNN on disk; adding the guided member is a config concern
- *  once models ship with deployments. */
-map::PortfolioResult
-portfolioSearch(const dfg::Dfg &dfg, arch::ArchContext &context,
-                const map::SearchOptions &options)
-{
-    map::PortfolioSearch race(context);
-    race.addMember("SA", std::make_unique<map::SaMapper>(), options);
-    race.addMember("ILP*", std::make_unique<map::ExactMapper>(), options);
-    return race.run(dfg);
-}
-
-} // namespace
-
 MappingService::MappingService(ServeConfig config)
-    : cfg(std::move(config)), search(portfolioSearch)
+    : cfg(std::move(config))
 {
     if (!cfg.cacheFile.empty()) {
         if (store.load(cfg.cacheFile))
@@ -91,7 +104,64 @@ ServeStats
 MappingService::stats() const
 {
     support::LockGuard lock(mu);
-    return counters;
+    ServeStats out = counters;
+    for (const auto &[spec, entry] : archs) {
+        FabricStats f;
+        f.accel = spec;
+        f.race = {entry->framework ? "LISA" : "SA", "ILP*"};
+        f.modelFingerprint = entry->modelFingerprint;
+        out.fabrics.push_back(std::move(f));
+    }
+    return out;
+}
+
+void
+MappingService::loadModels(const std::string &spec, ArchEntry &entry) const
+{
+    core::FrameworkConfig fw_cfg;
+    fw_cfg.cacheDir = cfg.modelDir;
+    fw_cfg.archContext = entry.context.get();
+    auto framework =
+        std::make_unique<core::LisaFramework>(*entry.accel, fw_cfg);
+    const core::ModelLoad loaded = framework->load();
+    std::string outcome;
+    if (loaded == core::ModelLoad::Loaded) {
+        entry.modelFingerprint = framework->modelFingerprint();
+        entry.framework = std::move(framework);
+        outcome = "loaded (fingerprint " +
+                  hexFingerprint(entry.modelFingerprint) +
+                  "); racing LISA + ILP*";
+    } else {
+        outcome = loaded == core::ModelLoad::ForeignFabric
+                      ? "rejected: trained for another fabric"
+                      : "none usable";
+        outcome += "; racing SA + ILP*";
+    }
+    inform("lisa-serve: label models for ", spec, " in ",
+           core::displayModelDir(cfg.modelDir), ": ", outcome);
+}
+
+map::PortfolioResult
+MappingService::race(const ArchEntry &arch, const dfg::Dfg &dfg,
+                     const map::SearchOptions &options) const
+{
+    if (search)
+        return search(dfg, *arch.context, options);
+    // With label models, LISA takes SA's slot at rank 0: its successes
+    // break II ties, and its labels come from one GNN inference on the
+    // DFG the race searches. Without them, plain SA races in its place.
+    if (arch.framework) {
+        core::PortfolioConfig members;
+        members.lisa = options;
+        members.ilp = options;
+        members.runSa = false;
+        return arch.framework->compilePortfolio(dfg, members);
+    }
+    map::PortfolioSearch portfolio(*arch.context);
+    portfolio.addMember("SA", std::make_unique<map::SaMapper>(), options);
+    portfolio.addMember("ILP*", std::make_unique<map::ExactMapper>(),
+                        options);
+    return portfolio.run(dfg);
 }
 
 MappingService::ArchEntry *
@@ -109,6 +179,9 @@ MappingService::archFor(const std::string &spec, std::string *error)
     auto entry = std::make_unique<ArchEntry>();
     entry->accel = std::move(accel);
     entry->context = std::make_unique<arch::ArchContext>(*entry->accel);
+    // Once per fabric, under `mu`: a first request waits for the load
+    // (about a millisecond) instead of racing without models.
+    loadModels(canonical_spec, *entry);
     ArchEntry *raw = entry.get();
     archs[canonical_spec] = std::move(entry);
     return raw;
@@ -216,7 +289,10 @@ MappingService::map(const MapRequest &req)
     const CacheKey key{canon.hash, arch->context->fingerprint(),
                        map::budgetClassKey(options)};
 
-    if (auto entry = store.lookup(key)) {
+    // An entry searched under other label models (or none) is a miss;
+    // the search below replaces it.
+    if (auto entry = store.lookup(key);
+        entry && entry->modelFingerprint == arch->modelFingerprint) {
         if (serveEntry(*arch, request_dfg, canon, *entry, out)) {
             out.cacheHit = true;
             support::LockGuard lock(mu);
@@ -275,7 +351,7 @@ MappingService::map(const MapRequest &req)
                     "internal: canonical text unparsable: " + error;
             } else {
                 const map::PortfolioResult res =
-                    search(*canon_dfg, *arch->context, options);
+                    race(*arch, *canon_dfg, options);
                 mii = res.mii;
                 if (res.success && res.mapping) {
                     auto entry = std::make_shared<CacheEntry>();
@@ -285,6 +361,7 @@ MappingService::map(const MapRequest &req)
                     entry->attempts = res.attempts;
                     entry->searchSeconds = res.seconds;
                     entry->winner = res.winner;
+                    entry->modelFingerprint = arch->modelFingerprint;
                     entry->mappingText =
                         verify::mappingToText(*res.mapping);
                     store.insert(entry);

@@ -4,8 +4,9 @@
  *
  * One service owns the content-addressed result cache (serve/cache.hh),
  * a registry of in-memory ArchContexts keyed by accelerator spec (built on
- * a fabric's first request and kept for the service's life), and the
- * admission/coalescing machinery in front of the search. The socket
+ * a fabric's first request and kept for the service's life, together
+ * with the fabric's label models when the model dir has usable ones),
+ * and the admission/coalescing machinery in front of the search. The socket
  * layer (serve/server.hh) and the bench load generator both drive this
  * class directly, so every protocol behavior is testable in-process.
  *
@@ -19,10 +20,13 @@
  *            replay evicts the entry and falls through to the miss path
  *            (verify-on-hit: no bytes are served that did not just pass
  *            the independent verifier).
+ *            An entry searched under other label models than the
+ *            fabric's current ones is a miss too.
  *      miss: coalesce — the first requester of a key becomes the leader
- *            and runs one SA + ILP* PortfolioSearch on the *canonical*
- *            DFG (so the stored artifact serves all permutation
- *            variants); N-1 concurrent identical requesters wait on the
+ *            and runs one PortfolioSearch on the *canonical* DFG (so the
+ *            stored artifact serves all permutation variants): LISA +
+ *            ILP* when the fabric has label models, SA + ILP* when it
+ *            has none. N-1 concurrent identical requesters wait on the
  *            leader's result instead of searching. Leaders pass
  *            admission control first: at most maxInflight searches run
  *            at once, excess leaders queue. Successful results are
@@ -43,11 +47,14 @@
 #define LISA_SERVE_SERVICE_HH
 
 #include <condition_variable>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "core/framework.hh"
 #include "dfg/canonical.hh"
 #include "mapping/portfolio.hh"
 #include "serve/cache.hh"
@@ -68,9 +75,23 @@ struct ServeConfig
     std::string cacheFile = envCacheFile();
     /** Admission control: max concurrently running searches. */
     int maxInflight = 2;
+    /** Where each fabric's label models are loaded from, once, on its
+     *  first request ("" = none: every fabric races SA + ILP*). */
+    std::string modelDir = core::defaultModelDir();
 
     /** Value of the LISA_SERVE_CACHE knob ("" when unset). */
     static std::string envCacheFile();
+};
+
+/** One registered fabric: what its misses race, and on which models. */
+struct FabricStats
+{
+    /** Normalized accelerator spec line. */
+    std::string accel;
+    /** Race members in rank order ("LISA", "ILP*" or "SA", "ILP*"). */
+    std::vector<std::string> race;
+    /** LisaFramework::modelFingerprint() of the loaded models; 0 = none. */
+    uint64_t modelFingerprint = 0;
 };
 
 /** Monotonic service counters (snapshot; see MappingService::stats). */
@@ -85,6 +106,8 @@ struct ServeStats
     long searches = 0;
     /** Cache entries evicted because their replay failed verification. */
     long verifyFailures = 0;
+    /** Every fabric served so far, in spec order. */
+    std::vector<FabricStats> fabrics;
 
     std::string toJson() const;
 };
@@ -94,8 +117,8 @@ class MappingService
 {
   public:
     /** Injectable search backend (tests swap in gated fakes to prove
-     *  coalescing; production uses the built-in SA + ILP-star
-     *  portfolio). */
+     *  coalescing). Without one, the service races the fabric's own
+     *  members: LISA + ILP* with label models, SA + ILP* without. */
     using SearchFn = std::function<map::PortfolioResult(
         const dfg::Dfg &, arch::ArchContext &,
         const map::SearchOptions &)>;
@@ -124,11 +147,17 @@ class MappingService
     bool saveCache();
 
   private:
-    /** One registered accelerator: the spec string owns both objects. */
+    /** One registered accelerator: the spec string owns every object.
+     *  All fields are written once, under `mu`, before the entry is
+     *  published, and only read after. */
     struct ArchEntry
     {
         std::unique_ptr<arch::Accelerator> accel;
         std::unique_ptr<arch::ArchContext> context;
+        /** Loaded label models; null when the model dir has none usable. */
+        std::unique_ptr<core::LisaFramework> framework;
+        /** framework->modelFingerprint(), or 0 without a framework. */
+        uint64_t modelFingerprint = 0;
     };
 
     /** One in-flight search other requests may coalesce onto. Fields are
@@ -143,11 +172,20 @@ class MappingService
         int mii = 0;
     };
 
-    /** Find-or-create the ArchEntry for @p spec. nullptr + @p error on a
-     *  malformed spec. The returned pointer is stable for the service's
-     *  lifetime (entries are never removed). */
+    /** Find-or-create the ArchEntry for @p spec, loading the fabric's
+     *  label models on creation. nullptr + @p error on a malformed spec.
+     *  The returned pointer is stable for the service's lifetime
+     *  (entries are never removed). */
     ArchEntry *archFor(const std::string &spec, std::string *error)
         LISA_EXCLUDES(mu);
+
+    /** Load @p entry's label models from cfg.modelDir, or leave it
+     *  without; logs one provenance line either way. */
+    void loadModels(const std::string &spec, ArchEntry &entry) const;
+
+    /** Run the miss search for @p dfg on @p arch's race members. */
+    map::PortfolioResult race(const ArchEntry &arch, const dfg::Dfg &dfg,
+                              const map::SearchOptions &options) const;
 
     /**
      * Replay @p entry against @p request_dfg: translate the canonical

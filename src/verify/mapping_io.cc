@@ -59,8 +59,11 @@ accelFromSpec(const std::string &spec, std::string *error)
         std::string mem;
         if (!(ls >> cfg.rows >> cfg.cols >> cfg.registersPerPe >> mem >>
               cfg.configDepth) ||
-            cfg.rows < 1 || cfg.cols < 1 || cfg.registersPerPe < 0 ||
-            cfg.configDepth < 1 || (mem != "all" && mem != "left")) {
+            cfg.rows < 1 || cfg.rows > kMaxSpecRows || cfg.cols < 1 ||
+            cfg.cols > kMaxSpecCols || cfg.registersPerPe < 0 ||
+            cfg.registersPerPe > kMaxSpecRegisters || cfg.configDepth < 1 ||
+            cfg.configDepth > kMaxSpecConfigDepth ||
+            (mem != "all" && mem != "left")) {
             fail(error, "malformed cgra spec: " + spec);
             return nullptr;
         }
@@ -70,7 +73,8 @@ accelFromSpec(const std::string &spec, std::string *error)
     }
     if (kind == "systolic") {
         int rows = 0, cols = 0;
-        if (!(ls >> rows >> cols) || rows < 1 || cols < 3) {
+        if (!(ls >> rows >> cols) || rows < 1 || rows > kMaxSpecRows ||
+            cols < 3 || cols > kMaxSpecCols) {
             fail(error, "malformed systolic spec: " + spec);
             return nullptr;
         }

@@ -52,9 +52,21 @@ struct LoadedMapping
  */
 std::string accelSpecOf(const arch::Accelerator &accel);
 
+/** @{ Largest fabric a spec line may describe. Spec lines arrive in
+ *  request and file bytes (lisa-serve parses one per request), and the
+ *  fabric, its MRRGs and the II sweep (which runs up to the config
+ *  depth) all grow with these fields, so each is bounded well above
+ *  every fabric in the tree (8x8 CGRA, 5x5 systolic, depth 24). */
+constexpr int kMaxSpecRows = 32;
+constexpr int kMaxSpecCols = 32;
+constexpr int kMaxSpecRegisters = 64;
+constexpr int kMaxSpecConfigDepth = 64;
+/** @} */
+
 /**
  * Parse an accelerator spec line produced by accelSpecOf(). Returns
- * nullptr (and fills @p error if non-null) on malformed input.
+ * nullptr (and fills @p error if non-null) on malformed input, including
+ * a field beyond its kMaxSpec* cap. Never builds an oversized fabric.
  */
 std::unique_ptr<arch::Accelerator> accelFromSpec(const std::string &spec,
                                                  std::string *error = nullptr);

@@ -8,6 +8,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
+
+#include <unistd.h>
 
 #include "arch/arch_context.hh"
 #include "arch/cgra.hh"
@@ -40,7 +43,13 @@ struct FrameworkTest : public ::testing::Test
 {
     void SetUp() override
     {
-        cache = "/tmp/lisa_fw_test_cache";
+        // One dir per test and process: ctest runs these tests in
+        // parallel, and a shared dir let one test's SetUp delete (or
+        // another fabric's models shadow) what a sibling had just saved.
+        const ::testing::TestInfo *info =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        cache = "/tmp/lisa_fw_test_cache_" + std::string(info->name()) +
+                "_" + std::to_string(::getpid());
         std::filesystem::remove_all(cache);
     }
     void TearDown() override { std::filesystem::remove_all(cache); }
@@ -129,6 +138,20 @@ TEST_F(FrameworkTest, ModelCacheRejectsDifferentFabricSameName)
             out << s << '\n';
     }
 
+    auto model_bytes = [&] {
+        std::string all;
+        for (const char *suffix :
+             {"label1", "label2", "label3", "label4", "meta"}) {
+            std::ifstream in(cache + "/" + a.name() + "." + suffix,
+                             std::ios::binary);
+            std::ostringstream os;
+            os << in.rdbuf();
+            all += os.str();
+        }
+        return all;
+    };
+    const std::string saved = model_bytes();
+
     // Same fabric: the cache loads, so the sentinels surface.
     LisaFramework fw_same(a, tinyConfig(cache));
     fw_same.prepare();
@@ -147,12 +170,11 @@ TEST_F(FrameworkTest, ModelCacheRejectsDifferentFabricSameName)
     ASSERT_EQ(fw_other.labelAccuracy().size(), 4u);
     EXPECT_NE(fw_other.labelAccuracy(), sentinels);
 
-    // The retrain refreshed the cache under the new fingerprint.
-    std::ifstream in(meta_path);
-    uint64_t fp = 0;
-    ASSERT_TRUE(static_cast<bool>(in >> fp));
-    arch::ArchContext ctx_b(b);
-    EXPECT_EQ(fp, ctx_b.fingerprint());
+    // The retrained models stay in memory: the files keep the other
+    // fabric's models byte for byte (in the default dir, those are the
+    // shipped cgra4x4 models).
+    EXPECT_EQ(fw_other.modelFingerprint(), 0u);
+    EXPECT_EQ(model_bytes(), saved);
 }
 
 TEST_F(FrameworkTest, MetaWithoutFingerprintIsRejected)
@@ -172,6 +194,12 @@ TEST_F(FrameworkTest, MetaWithoutFingerprintIsRejected)
     ASSERT_EQ(fw2.labelAccuracy().size(), 4u);
     for (double acc : fw2.labelAccuracy())
         EXPECT_NE(acc, 0.9);
+    // Unlike another fabric's models, the stale cache is replaced.
+    EXPECT_NE(fw2.modelFingerprint(), 0u);
+    std::ifstream in(meta_path);
+    uint64_t fp = 0;
+    ASSERT_TRUE(static_cast<bool>(in >> fp));
+    EXPECT_EQ(fp, arch::ArchContext(c).fingerprint());
 }
 
 TEST_F(FrameworkTest, CompilePortfolioRacesAndReproduces)
@@ -224,6 +252,80 @@ TEST_F(FrameworkTest, UnpreparedUsePanics)
     auto w = workloads::workloadByName("gemm");
     dfg::Analysis an(w.dfg);
     EXPECT_DEATH(fw.predictLabels(w.dfg, an), "prepare");
+}
+
+TEST_F(FrameworkTest, LoadNeverTrains)
+{
+    arch::CgraArch c(arch::baselineCgra(4, 4));
+    // Nothing in the dir: load() reports it, trains nothing and writes
+    // nothing.
+    std::filesystem::create_directories(cache);
+    LisaFramework empty(c, tinyConfig(cache));
+    EXPECT_EQ(empty.load(), ModelLoad::NoneUsable);
+    EXPECT_FALSE(empty.isPrepared());
+    EXPECT_EQ(empty.modelFingerprint(), 0u);
+    EXPECT_TRUE(std::filesystem::is_empty(cache));
+
+    LisaFramework trained(c, tinyConfig(cache));
+    trained.prepare();
+    ASSERT_NE(trained.modelFingerprint(), 0u);
+
+    // The saved models load, under the fingerprint they were saved with.
+    LisaFramework loaded(c, tinyConfig(cache));
+    EXPECT_EQ(loaded.load(), ModelLoad::Loaded);
+    EXPECT_TRUE(loaded.isPrepared());
+    EXPECT_EQ(loaded.modelFingerprint(), trained.modelFingerprint());
+    ASSERT_EQ(loaded.labelAccuracy().size(), 4u);
+    for (size_t i = 0; i < 4; ++i) // .meta keeps six significant digits
+        EXPECT_NEAR(loaded.labelAccuracy()[i], trained.labelAccuracy()[i],
+                    1e-5);
+
+    // A same-named fabric with another fingerprint is told apart.
+    arch::CgraConfig deeper = arch::baselineCgra(4, 4);
+    deeper.configDepth += 8;
+    arch::CgraArch d(deeper);
+    ASSERT_EQ(d.name(), c.name());
+    LisaFramework foreign(d, tinyConfig(cache));
+    EXPECT_EQ(foreign.load(), ModelLoad::ForeignFabric);
+    EXPECT_FALSE(foreign.isPrepared());
+}
+
+TEST(Framework, PredictLabelsConcurrentlyOnOneFramework)
+{
+    // The serve daemon races one framework per fabric from every admitted
+    // search, so predictLabels must be safe to call from two threads at
+    // once and give each the labels a lone call gives. The shipped
+    // cgra4x4 models are only read here.
+    arch::CgraArch c(arch::baselineCgra(4, 4));
+    FrameworkConfig cfg;
+    cfg.cacheDir = defaultModelDir();
+    LisaFramework fw(c, cfg);
+    ASSERT_EQ(fw.load(), ModelLoad::Loaded);
+
+    std::vector<workloads::Workload> suite = workloads::polybenchSuite();
+    std::vector<Labels> serial;
+    for (const auto &w : suite)
+        serial.push_back(fw.predictLabels(w.dfg, dfg::Analysis(w.dfg)));
+
+    std::vector<std::vector<Labels>> parallel(2);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < parallel.size(); ++t)
+        threads.emplace_back([&, t] {
+            for (const auto &w : suite)
+                parallel[t].push_back(
+                    fw.predictLabels(w.dfg, dfg::Analysis(w.dfg)));
+        });
+    for (auto &th : threads)
+        th.join();
+    for (const auto &labels : parallel) {
+        ASSERT_EQ(labels.size(), serial.size());
+        for (size_t i = 0; i < serial.size(); ++i) {
+            EXPECT_EQ(labels[i].scheduleOrder, serial[i].scheduleOrder);
+            EXPECT_EQ(labels[i].association, serial[i].association);
+            EXPECT_EQ(labels[i].spatialDist, serial[i].spatialDist);
+            EXPECT_EQ(labels[i].temporalDist, serial[i].temporalDist);
+        }
+    }
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 #include "arch/arch_context.hh"
 #include "mapping/ii_search.hh"
 #include "mapping/portfolio.hh"
+#include "mappers/exact_mapper.hh"
 #include "mappers/sa_mapper.hh"
 #include "workloads/registry.hh"
 
@@ -346,6 +347,30 @@ TEST(SearchMinIi, TimelineRecordsEveryConsideredIi)
                  "proven-infeasible");
     EXPECT_STREQ(iiOutcomeName(IiOutcome::IncumbentCancelled),
                  "incumbent-cancelled");
+}
+
+TEST(SearchMinIi, FinishedEnumerationIsSearchExhausted)
+{
+    // ILP* runs its enumeration to the end at gesummv's low IIs long
+    // before the budget: those steps are search-exhausted, not
+    // budget-exhausted, and never proven-infeasible (ILP* is incomplete).
+    arch::CgraArch c(arch::baselineCgra(4, 4));
+    auto w = workloads::workloadByName("gesummv");
+    ExactMapper ilp;
+    SearchOptions opts;
+    opts.perIiBudget = 0.5;
+    opts.totalBudget = 4.0;
+    auto r = searchMinIi(ilp, w.dfg, c, opts);
+    uint64_t exhausted = 0, proven = 0;
+    for (const IiStep &step : r.timeline) {
+        exhausted += step.outcome == IiOutcome::SearchExhausted;
+        proven += step.outcome == IiOutcome::ProvenInfeasible;
+    }
+    EXPECT_GT(exhausted, 0u);
+    EXPECT_EQ(exhausted, r.stats.searchesExhausted);
+    EXPECT_EQ(proven, r.stats.iisProvenInfeasible);
+    EXPECT_STREQ(iiOutcomeName(IiOutcome::SearchExhausted),
+                 "search-exhausted");
 }
 
 TEST(SearchMinIi, StopFlagIsRecordedInTimeline)

@@ -199,6 +199,7 @@ TEST(MapperStats, JsonHasEveryCounter)
     EXPECT_NE(j.find("\"oracleBuilds\":0"), std::string::npos);
     EXPECT_NE(j.find("\"oracleHits\":0"), std::string::npos);
     EXPECT_NE(j.find("\"mapSeconds\":0"), std::string::npos);
+    EXPECT_NE(j.find("\"searchesExhausted\":0"), std::string::npos);
 }
 
 } // namespace

@@ -2,10 +2,14 @@
  * @file
  * Serve-stack tests: cache store + LSRV persistence, MappingService
  * request flow (miss -> verified hit, permutation variants, the
- * production SA + ILP* race's winners, verify-on-hit eviction, restart
- * warm-start), the coalescing guarantee (N identical concurrent misses
- * -> exactly one search), and the ServeServer protocol dispatch
- * (socket-free via handleLine plus one real socket round trip).
+ * production races' winners with and without label models, model
+ * rejection and fallback, verify-on-hit eviction, restart warm-start and
+ * model-change re-search), the coalescing guarantee (N identical
+ * concurrent misses -> exactly one search), and the ServeServer protocol
+ * dispatch (socket-free via handleLine plus one real socket round trip).
+ *
+ * Model dirs are either the shipped one (core::defaultModelDir(), only
+ * ever read: MappingService loads and never trains) or empty temp dirs.
  */
 
 #include <gtest/gtest.h>
@@ -32,7 +36,9 @@
 #include "serve/cache.hh"
 #include "serve/server.hh"
 #include "serve/service.hh"
+#include "support/fnv.hh"
 #include "support/json.hh"
+#include "support/logging.hh"
 #include "support/random.hh"
 #include "verify/mapping_io.hh"
 #include "workloads/registry.hh"
@@ -68,6 +74,8 @@ const char *kKernelPermuted = "dfg other\n"
                               "edge 4 2\n";
 
 const char *kAccel = "accel cgra 4 4 1 left 4";
+/** The 4x4 baseline CGRA, the fabric the shipped label models are for. */
+const char *kBaselineAccel = "accel cgra 4 4 4 all 24";
 
 MapRequest
 kernelRequest(const char *dfg_text = kKernel)
@@ -87,6 +95,50 @@ tempPath(const char *name)
     return testing::TempDir() + name;
 }
 
+/** A fresh, empty model dir: a service pointed at it has no models. */
+std::string
+emptyModelDir()
+{
+    const std::string dir = tempPath("lisa_serve_no_models");
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    return dir;
+}
+
+/** kernelRequest on the baseline fabric. */
+MapRequest
+baselineRequest(const std::string &dfg_text)
+{
+    MapRequest req = kernelRequest(dfg_text.c_str());
+    req.accelSpec = kBaselineAccel;
+    return req;
+}
+
+/** doitgen plus a few fixed-seed random graphs. */
+std::vector<std::string>
+raceGraphs()
+{
+    std::vector<std::string> graphs = {
+        dfg::toText(workloads::workloadByName("doitgen").dfg)};
+    Rng rng(17);
+    for (int nodes : {10, 14, 18}) {
+        dfg::GeneratorConfig gen;
+        gen.minNodes = gen.maxNodes = nodes;
+        graphs.push_back(dfg::toText(dfg::generateRandomDfg(gen, rng)));
+    }
+    return graphs;
+}
+
+/** The stats entry of @p spec, or nullptr. */
+const FabricStats *
+fabricStats(const ServeStats &stats, const std::string &spec)
+{
+    for (const FabricStats &f : stats.fabrics)
+        if (f.accel == spec)
+            return &f;
+    return nullptr;
+}
+
 CacheEntry
 sampleEntry(uint64_t dfg_hash)
 {
@@ -97,6 +149,7 @@ sampleEntry(uint64_t dfg_hash)
     e.attempts = 42;
     e.searchSeconds = 0.5;
     e.winner = "SA";
+    e.modelFingerprint = 0x1234abcdULL;
     e.mappingText = "placeholder mapping bytes\n";
     return e;
 }
@@ -145,7 +198,49 @@ TEST(MappingCache, SaveLoadRoundTrip)
     EXPECT_EQ(entry->attempts, 42);
     EXPECT_DOUBLE_EQ(entry->searchSeconds, 0.5);
     EXPECT_EQ(entry->winner, "SA");
+    EXPECT_EQ(entry->modelFingerprint, 0x1234abcdULL);
     EXPECT_EQ(entry->mappingText, "placeholder mapping bytes\n");
+    std::remove(path.c_str());
+}
+
+TEST(MappingCache, LoadRejectsVersionOneFiles)
+{
+    // An LSRV v1 file: the v2 layout without the model fingerprint, under
+    // version 1, with a valid checksum. It must load as a cold cache.
+    const std::string path = tempPath("lsrv_v1.lsrv");
+    MappingCache cache;
+    const CacheEntry e = sampleEntry(7);
+    cache.insert(std::make_shared<CacheEntry>(e));
+    ASSERT_TRUE(cache.save(path));
+    std::string bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    // magic, version, count, dfgHash, archFingerprint, budgetKey, ii,
+    // mii, attempts, searchSeconds, winner: then the model fingerprint.
+    const size_t model_at = 4 + 4 + 8 + 8 + 8 + (8 + e.key.budgetKey.size()) +
+                            4 + 4 + 8 + 8 + (8 + e.winner.size());
+    std::string v1 = bytes.substr(0, bytes.size() - 8);
+    v1.erase(model_at, 8);
+    v1[4] = 1;
+    const uint64_t sum = support::fnv1a(v1);
+    for (int i = 0; i < 8; ++i)
+        v1 += static_cast<char>((sum >> (8 * i)) & 0xff);
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(v1.data(), static_cast<std::streamsize>(v1.size()));
+    }
+    MappingCache old;
+    EXPECT_FALSE(old.load(path));
+    EXPECT_EQ(old.size(), 0u);
+
+    ServeConfig cfg;
+    cfg.cacheFile = path;
+    cfg.modelDir.clear();
+    MappingService service(cfg);
+    EXPECT_EQ(service.cache().size(), 0u);
     std::remove(path.c_str());
 }
 
@@ -279,29 +374,35 @@ TEST(MappingService, RejectsMalformedRequests)
     const MapOutcome o2 = service.map(bad_accel);
     EXPECT_FALSE(o2.ok);
     EXPECT_NE(o2.error.find("accel"), std::string::npos);
+
+    // Hostile fabric sizes are malformed specs: rejected at parse time,
+    // before any fabric is built (2.5e9 PEs, a 100000-II sweep, ...).
+    for (const char *spec :
+         {"accel cgra 50000 50000 4 all 24", "accel cgra 4 4 4 all 100000",
+          "accel cgra 4 4 100000 all 24", "accel systolic 50000 50000"}) {
+        MapRequest huge = kernelRequest();
+        huge.accelSpec = spec;
+        const MapOutcome o = service.map(huge);
+        EXPECT_FALSE(o.ok) << spec;
+        EXPECT_NE(o.error.find("malformed"), std::string::npos) << o.error;
+    }
+    EXPECT_TRUE(service.stats().fabrics.empty());
 }
 
 TEST(MappingService, ProductionRaceWinnerIsSaOrIlpStar)
 {
-    // The built-in backend races exactly SA and ILP*, so every
-    // successful miss must be attributed to one of them: doitgen plus a
-    // few fixed-seed random graphs in the fast budget class.
+    // Without label models the built-in backend races exactly SA and
+    // ILP*, so every successful miss must be attributed to one of them:
+    // doitgen plus a few fixed-seed random graphs in the fast budget
+    // class, on the baseline fabric with an empty model dir.
     ServeConfig cfg;
     cfg.cacheFile.clear();
+    cfg.modelDir = emptyModelDir();
     MappingService service(cfg);
 
-    std::vector<std::string> graphs = {
-        dfg::toText(workloads::workloadByName("doitgen").dfg)};
-    Rng rng(17);
-    for (int nodes : {10, 14, 18}) {
-        dfg::GeneratorConfig gen;
-        gen.minNodes = gen.maxNodes = nodes;
-        graphs.push_back(dfg::toText(dfg::generateRandomDfg(gen, rng)));
-    }
-
     int mapped = 0;
-    for (const std::string &text : graphs) {
-        const MapOutcome out = service.map(kernelRequest(text.c_str()));
+    for (const std::string &text : raceGraphs()) {
+        const MapOutcome out = service.map(baselineRequest(text));
         if (!out.ok)
             continue;
         ++mapped;
@@ -310,6 +411,132 @@ TEST(MappingService, ProductionRaceWinnerIsSaOrIlpStar)
             << out.winner;
     }
     EXPECT_GT(mapped, 0);
+    const ServeStats stats = service.stats();
+    const FabricStats *fabric = fabricStats(stats, kBaselineAccel);
+    ASSERT_NE(fabric, nullptr);
+    EXPECT_EQ(fabric->race, (std::vector<std::string>{"SA", "ILP*"}));
+    EXPECT_EQ(fabric->modelFingerprint, 0u);
+}
+
+TEST(MappingService, ShippedModelsRaceLisaAndIlpStar)
+{
+    // The repository ships cgra4x4 label models: the baseline fabric
+    // loads them and races LISA in SA's slot.
+    ServeConfig cfg;
+    cfg.cacheFile.clear();
+    cfg.modelDir = core::defaultModelDir();
+    MappingService service(cfg);
+
+    int mapped = 0;
+    for (const std::string &text : raceGraphs()) {
+        const MapOutcome out = service.map(baselineRequest(text));
+        if (!out.ok)
+            continue;
+        ++mapped;
+        EXPECT_TRUE(out.verified);
+        EXPECT_TRUE(out.winner == "LISA" || out.winner == "ILP*")
+            << out.winner;
+    }
+    EXPECT_GT(mapped, 0);
+
+    const ServeStats stats = service.stats();
+    const FabricStats *fabric = fabricStats(stats, kBaselineAccel);
+    ASSERT_NE(fabric, nullptr);
+    EXPECT_EQ(fabric->race, (std::vector<std::string>{"LISA", "ILP*"}));
+    EXPECT_NE(fabric->modelFingerprint, 0u);
+    EXPECT_NE(stats.toJson().find("\"race\":[\"LISA\",\"ILP*\"]"),
+              std::string::npos)
+        << stats.toJson();
+}
+
+TEST(MappingService, ForeignFabricModelsAreRejectedAndLogged)
+{
+    // "accel cgra 4 4 4 all 16" shares the name cgra4x4 with the shipped
+    // models but not their fabric fingerprint: the daemon must reject
+    // them, say so, and race SA + ILP*.
+    const char *foreign = "accel cgra 4 4 4 all 16";
+    ServeConfig cfg;
+    cfg.cacheFile.clear();
+    cfg.modelDir = core::defaultModelDir();
+    MappingService service(cfg);
+
+    const bool was_verbose = verbose();
+    setVerbose(true);
+    testing::internal::CaptureStderr();
+    MapRequest req = kernelRequest();
+    req.accelSpec = foreign;
+    const MapOutcome out = service.map(req);
+    const std::string log = testing::internal::GetCapturedStderr();
+    setVerbose(was_verbose);
+
+    EXPECT_NE(log.find("rejected: trained for another fabric; racing SA + "
+                       "ILP*"),
+              std::string::npos)
+        << log;
+    EXPECT_NE(log.find(std::filesystem::absolute(cfg.modelDir).string()),
+              std::string::npos)
+        << log;
+    ASSERT_TRUE(out.ok) << out.error;
+    EXPECT_TRUE(out.winner == "SA" || out.winner == "ILP*") << out.winner;
+    const ServeStats stats = service.stats();
+    const FabricStats *fabric = fabricStats(stats, foreign);
+    ASSERT_NE(fabric, nullptr);
+    EXPECT_EQ(fabric->race, (std::vector<std::string>{"SA", "ILP*"}));
+    EXPECT_EQ(fabric->modelFingerprint, 0u);
+}
+
+TEST(MappingService, ModelChangeAcrossRestartReSearches)
+{
+    // An entry searched with label models must not be served by a
+    // restart without them: same key, other model fingerprint, so a miss
+    // whose fresh search replaces the entry.
+    const std::string path = tempPath("serve_model_change.lsrv");
+    std::remove(path.c_str());
+    const MapRequest req =
+        baselineRequest(dfg::toText(workloads::workloadByName("gemm").dfg));
+    uint64_t model_fp = 0;
+    {
+        ServeConfig cfg;
+        cfg.cacheFile = path;
+        cfg.modelDir = core::defaultModelDir();
+        MappingService service(cfg);
+        const MapOutcome out = service.map(req);
+        ASSERT_TRUE(out.ok) << out.error;
+        const ServeStats stats = service.stats();
+        const FabricStats *fabric = fabricStats(stats, kBaselineAccel);
+        ASSERT_NE(fabric, nullptr);
+        model_fp = fabric->modelFingerprint;
+        ASSERT_NE(model_fp, 0u);
+    }
+    {
+        ServeConfig cfg;
+        cfg.cacheFile = path;
+        cfg.modelDir = emptyModelDir();
+        MappingService service(cfg);
+        ASSERT_EQ(service.cache().size(), 1u);
+        const MapOutcome out = service.map(req);
+        ASSERT_TRUE(out.ok) << out.error;
+        EXPECT_FALSE(out.cacheHit);
+        EXPECT_TRUE(out.winner == "SA" || out.winner == "ILP*")
+            << out.winner;
+        const ServeStats stats = service.stats();
+        EXPECT_EQ(stats.searches, 1);
+        EXPECT_EQ(stats.verifyFailures, 0);
+        // The replacement is a hit for this (model-less) service.
+        EXPECT_TRUE(service.map(req).cacheHit);
+    }
+    {
+        // And the models' return is a model change too.
+        ServeConfig cfg;
+        cfg.cacheFile = path;
+        cfg.modelDir = core::defaultModelDir();
+        MappingService service(cfg);
+        const MapOutcome out = service.map(req);
+        ASSERT_TRUE(out.ok) << out.error;
+        EXPECT_FALSE(out.cacheHit);
+        EXPECT_EQ(service.stats().searches, 1);
+    }
+    std::remove(path.c_str());
 }
 
 TEST(MappingService, VerifyOnHitEvictsCorruptEntriesAndResearches)

@@ -436,4 +436,40 @@ TEST(VerifyIo, CorruptedTextSurvivesLoadAndFailsVerification)
                                *loaded->mapping).ok());
 }
 
+TEST(VerifyIo, SpecRejectsFieldsBeyondTheirCaps)
+{
+    // Each field one past its cap is a malformed spec; only the parse
+    // runs, no oversized fabric is ever built.
+    std::string error;
+    const std::string over_rows =
+        "accel cgra " + std::to_string(kMaxSpecRows + 1) + " 4 4 all 24";
+    const std::string over_cols =
+        "accel cgra 4 " + std::to_string(kMaxSpecCols + 1) + " 4 all 24";
+    const std::string over_regs =
+        "accel cgra 4 4 " + std::to_string(kMaxSpecRegisters + 1) +
+        " all 24";
+    const std::string over_depth =
+        "accel cgra 4 4 4 all " + std::to_string(kMaxSpecConfigDepth + 1);
+    const std::string over_sys_rows =
+        "accel systolic " + std::to_string(kMaxSpecRows + 1) + " 5";
+    const std::string over_sys_cols =
+        "accel systolic 5 " + std::to_string(kMaxSpecCols + 1);
+    for (const std::string &spec :
+         {over_rows, over_cols, over_regs, over_depth, over_sys_rows,
+          over_sys_cols, std::string("accel cgra 50000 50000 4 all 24"),
+          std::string("accel cgra 4 4 4 all 100000")}) {
+        error.clear();
+        EXPECT_EQ(accelFromSpec(spec, &error), nullptr) << spec;
+        EXPECT_NE(error.find("malformed"), std::string::npos) << error;
+    }
+
+    // At the caps the small fields still parse (a 4x4 grid keeps the
+    // fabric cheap).
+    auto deep = accelFromSpec("accel cgra 4 4 " +
+                              std::to_string(kMaxSpecRegisters) + " all " +
+                              std::to_string(kMaxSpecConfigDepth));
+    ASSERT_NE(deep, nullptr);
+    EXPECT_EQ(deep->maxIi(), kMaxSpecConfigDepth);
+}
+
 } // namespace

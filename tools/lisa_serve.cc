@@ -4,13 +4,16 @@
  *
  * Usage:
  *   lisa-serve --socket /tmp/lisa.sock [--cache FILE] [--max-inflight N]
- *              [--threads N]
+ *              [--threads N] [--model-dir DIR]
  *
  * Protocol: newline-delimited JSON (serve/proto.hh). The result cache
  * file defaults to the LISA_SERVE_CACHE environment knob; arch artifacts
- * are built in memory on a fabric's first request. Prints
- * "lisa-serve: ready on <socket>" once accepting, exits on SIGINT /
- * SIGTERM or a client {"op":"shutdown"}.
+ * are built in memory on a fabric's first request, and the fabric's label
+ * models are loaded then from --model-dir (default: the repository's
+ * lisa_models/, core::defaultModelDir()). A fabric with usable models
+ * races LISA + ILP* on a miss, one without races SA + ILP*; stderr names
+ * which, per fabric. Prints "lisa-serve: ready on <socket>" once
+ * accepting, exits on SIGINT / SIGTERM or a client {"op":"shutdown"}.
  */
 
 #include <csignal>
@@ -40,7 +43,7 @@ usage(const char *argv0)
 {
     std::cerr << "usage: " << argv0
               << " --socket PATH [--cache FILE] [--max-inflight N]"
-                 " [--threads N]\n";
+                 " [--threads N] [--model-dir DIR]\n";
 }
 
 } // namespace
@@ -71,6 +74,8 @@ main(int argc, char **argv)
             cfg.maxInflight = std::atoi(value("--max-inflight"));
         else if (arg == "--threads")
             threads = std::atoi(value("--threads"));
+        else if (arg == "--model-dir")
+            cfg.modelDir = value("--model-dir");
         else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
@@ -86,6 +91,9 @@ main(int argc, char **argv)
     }
     if (threads > 0)
         ThreadPool::setGlobalThreads(threads);
+    // The daemon's provenance lines (cache warm-start, per-fabric label
+    // models and race members) go to stderr.
+    setVerbose(true);
 
     serve::MappingService service(cfg);
     serve::ServeServer server(service, socket_path);
